@@ -76,6 +76,26 @@ def _decomposition_json(d) -> dict:
     return {"pi": d.pi.p.tolist(), "S": d.S.tolist(), "A": d.A.tolist()}
 
 
+def _emit_trajectory_csv(traj, output: str | None):
+    header = ["t"] + [f"p_{i + 1}" for i in range(traj.n)]
+    columns = [traj.times] + [traj.states[:, i] for i in range(traj.n)]
+    for name in sorted(traj.traces):
+        header.append(name)
+        columns.append(traj.traces[name])
+    _emit_text(_csv_text(header, columns), output)
+
+
+def _emit_bound_csv(report, output: str | None):
+    _emit_text(
+        _csv_text(
+            ["t", "D", "bound_lambda2", "bound_2lambda2", "ratio"],
+            [report.times, report.divergence, report.bound, report.bound_sharp,
+             report.ratio],
+        ),
+        output,
+    )
+
+
 def _cmd_stationary(args) -> int:
     gen = generator_from_json(_read_json(args.input))
     if args.method == "tree":
@@ -159,13 +179,7 @@ def _cmd_evolve(args) -> int:
     times = _time_grid(gen, args)
     traj = evolve(gen, p0, times)
     traj = entropy_trace(traj, gen, [TRACE_TOKENS[tok] for tok in tokens])
-
-    header = ["t"] + [f"p_{i + 1}" for i in range(gen.n)]
-    columns = [traj.times] + [traj.states[:, i] for i in range(gen.n)]
-    for name in sorted(traj.traces):
-        header.append(name)
-        columns.append(traj.traces[name])
-    _emit_text(_csv_text(header, columns), args.output)
+    _emit_trajectory_csv(traj, args.output)
     return 0
 
 
@@ -178,13 +192,7 @@ def _cmd_bound(args) -> int:
     else:
         times = default_time_grid(gen, points=args.points, decay_rate=lambda2(d))
     traj = evolve(gen, p0, times)
-    report = verify_bound(traj, d)
-    text = _csv_text(
-        ["t", "D", "bound_lambda2", "bound_2lambda2", "ratio"],
-        [report.times, report.divergence, report.bound, report.bound_sharp,
-         report.ratio],
-    )
-    _emit_text(text, args.output)
+    _emit_bound_csv(verify_bound(traj, d), args.output)
     return 0
 
 
@@ -245,29 +253,16 @@ def _cmd_demo(args) -> int:
     times = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 200)])
     traj = evolve(gen, p0, times)
     traj = entropy_trace(traj, gen, [SHANNON, RELATIVE_SHANNON, RELATIVE_GINI])
-    header = ["t"] + [f"p_{i + 1}" for i in range(gen.n)]
-    columns = [traj.times] + [traj.states[:, i] for i in range(gen.n)]
-    for name in sorted(traj.traces):
-        header.append(name)
-        columns.append(traj.traces[name])
     path = out / "entropy_traces.csv"
-    _emit_text(_csv_text(header, columns), str(path))
+    _emit_trajectory_csv(traj, str(path))
     written.append(path)
 
     cyc = instances.three_cycle()
     d = decompose(cyc)
     times = np.concatenate([[0.0], np.geomspace(1e-3, 10.0 / lambda2(d), 200)])
     traj = evolve(cyc, probability_vector([1.0, 0.0, 0.0]), times)
-    report = verify_bound(traj, d)
     path = out / "bound_3cycle.csv"
-    _emit_text(
-        _csv_text(
-            ["t", "D", "bound_lambda2", "bound_2lambda2", "ratio"],
-            [report.times, report.divergence, report.bound, report.bound_sharp,
-             report.ratio],
-        ),
-        str(path),
-    )
+    _emit_bound_csv(verify_bound(traj, d), str(path))
     written.append(path)
 
     for path in written:
@@ -335,9 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p0", required=True)
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--points", type=int, default=200)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker count for sweep-style runs; a single-instance "
-                        "run is unaffected")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_bound)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GeneratorMatrix, ProbabilityVector, from_offdiagonal_rates
-from .decompose import decompose
+from .decompose import FlowDecomposition, decompose
 from .errors import ExcessiveClipping, Overflow, TooLarge
 from .stationary import stationary_solve
 
@@ -342,17 +342,23 @@ class OperatorSymmetryReport:
     operator_norm: float
 
 
-def operator_symmetry_report(problem: FpeProblem, f_samples=None,
-                             g_samples=None) -> OperatorSymmetryReport:
+def operator_symmetry_report(problem: FpeProblem, d: FlowDecomposition,
+                             f_samples=None, g_samples=None) -> OperatorSymmetryReport:
     """Adjointness checks for the discretized operator in flow form.
 
-    The operator acting on ratio coordinates is ``L = Q @ diag(pi)`` with
-    ``pi`` the stationary distribution of the discrete chain (the exact
-    discrete counterpart of the Gibbs weights, matching them to
-    discretization error); its symmetric and antisymmetric parts play the
+    ``d`` is the decomposition of ``discretize_fpe(problem)``.  The operator
+    acting on ratio coordinates is its flow ``L = Q @ diag(pi)`` with ``pi``
+    the stationary distribution of the discrete chain (the exact discrete
+    counterpart of the Gibbs weights, matching them to discretization
+    error); its symmetric and antisymmetric parts ``S`` and ``A`` play the
     roles of the reversible and circulating generators.  With this
     weighting a pure-diffusion problem yields an exactly symmetric ``L``.
     """
+    if d.n != problem.n:
+        raise ValueError(
+            f"size invariant violated: decomposition has {d.n} states, "
+            f"the {problem.nx}x{problem.ny} grid has {problem.n} cells"
+        )
     if f_samples is None:
         f_samples = polynomial_probes(problem, count=6, seed=0)
     if g_samples is None:
@@ -360,10 +366,7 @@ def operator_symmetry_report(problem: FpeProblem, f_samples=None,
     f_samples = np.atleast_2d(np.asarray(f_samples, dtype=float))
     g_samples = np.atleast_2d(np.asarray(g_samples, dtype=float))
 
-    q_full = discretize_fpe(problem)
-    L = q_full.q * stationary_solve(q_full).p[np.newaxis, :]
-    sym = (L + L.T) / 2.0
-    anti = (L - L.T) / 2.0
+    L, sym, anti = d.F, d.S, d.A
 
     diffusion_only = fpe_problem(
         (problem.xlim, problem.ylim), problem.nx, problem.ny,
@@ -407,11 +410,10 @@ def refinement_study(domain, grids, phi, diffusion="identity", gamma=0.0):
         problem = fpe_problem(domain, grid, grid, phi, diffusion, gamma)
         gen, clip = discretize_fpe_detailed(problem)
         gibbs = gibbs_distribution(problem)
-        pi = stationary_solve(gen)
-        l1 = float(np.abs(pi.p - gibbs.p).sum())
         d = decompose(gen)
+        l1 = float(np.abs(d.pi.p - gibbs.p).sum())
         flow_scale = max(float(np.abs(d.F).max()), 1e-300)
-        ops = operator_symmetry_report(problem)
+        ops = operator_symmetry_report(problem, d)
         levels.append({
             "grid": int(grid),
             "n": problem.n,

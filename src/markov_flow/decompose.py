@@ -21,6 +21,7 @@ from .core import GeneratorMatrix, ProbabilityVector, probability_vector, valida
 from .errors import (
     CycleCountWarning,
     InvalidFlow,
+    MarkovFlowError,
     NotAntisymmetric,
     NotBalanced,
     NotSymmetric,
@@ -102,12 +103,18 @@ def _check_flow_invariants(d: FlowDecomposition):
                 f"{max(worst_row, worst_col):.3g} exceeds {tol:.3g}"
             )
     # antisymmetry puts all of F's diagonal in S
-    assert np.abs(np.diag(A)).max() == 0.0
+    if np.abs(np.diag(A)).max() != 0.0:
+        raise NotAntisymmetric(
+            "antisymmetry invariant violated: A has a nonzero diagonal"
+        )
     # Gershgorin: symmetric + zero row sums + nonnegative off-diagonals
     # pins every eigenvalue of S in [2*min(diag), 0]
     s_off = S.copy()
     np.fill_diagonal(s_off, 0.0)
-    assert s_off.min() >= -tol, "S has a negative off-diagonal beyond tolerance"
+    if s_off.min() < -tol:
+        raise InvalidFlow(
+            f"symmetric-flow positivity violated: min off-diagonal S {s_off.min():.3g}"
+        )
 
 
 def recompose(d: FlowDecomposition) -> GeneratorMatrix:
@@ -225,7 +232,11 @@ def is_detailed_balance(gen: GeneratorMatrix, tol: float = 1e-12) -> DetailedBal
     pairwise = np.abs(d.F - d.F.T)
     max_pair = float(pairwise.max())
     scale = float(np.abs(d.F).max())
-    assert abs(max_a - max_pair / 2.0) <= 1e-15 * max(scale, 1.0)
+    if abs(max_a - max_pair / 2.0) > 1e-15 * max(scale, 1.0):
+        raise NotAntisymmetric(
+            f"antisymmetry invariant violated: max|A| = {max_a:.17g} is not half "
+            f"the pairwise flux mismatch {max_pair:.17g}"
+        )
     return DetailedBalanceReport(
         balanced=bool(max_a <= tol * scale),
         max_circulation=max_a,
@@ -244,7 +255,8 @@ def dof_report(n: int) -> dict:
         "dof_A": (n - 1) * (n - 2) // 2,
         "total": n * n - n,
     }
-    assert report["dof_pi"] + report["dof_S"] + report["dof_A"] == report["total"]
+    if report["dof_pi"] + report["dof_S"] + report["dof_A"] != report["total"]:
+        raise MarkovFlowError(f"degree-of-freedom budget violated: {report}")
     return report
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import ProbabilityVector
 from .decompose import FlowDecomposition
-from .errors import PositivityViolation
+from .errors import NotAntisymmetric, PositivityViolation
 
 PRODUCTION_SPLIT_RTOL = 1e-13
 
@@ -122,16 +122,17 @@ def production_split(p, d: FlowDecomposition) -> dict:
 
     Returns ``{"s_part": 2 r^T S r, "a_part": 2 r^T A r}``.  The
     circulation part is an antisymmetric quadratic form, hence zero; it is
-    computed and asserted rather than assumed.
+    computed and checked rather than assumed (:class:`NotAntisymmetric`).
     """
     r = _as_prob_array(p) / d.pi.p
     s_part = float(2.0 * r @ d.S @ r)
     a_part = float(2.0 * r @ d.A @ r)
     a_scale = np.linalg.norm(d.A) * float(r @ r)
-    assert abs(a_part) <= PRODUCTION_SPLIT_RTOL * max(a_scale, 1e-300), (
-        f"circulation production {a_part:.3g} fails the antisymmetric "
-        f"quadratic-form identity at scale {a_scale:.3g}"
-    )
+    if abs(a_part) > PRODUCTION_SPLIT_RTOL * max(a_scale, 1e-300):
+        raise NotAntisymmetric(
+            f"antisymmetric quadratic-form invariant violated: circulation "
+            f"production {a_part:.3g} is not zero at scale {a_scale:.3g}"
+        )
     return {"s_part": s_part, "a_part": a_part}
 
 

@@ -73,7 +73,8 @@ class ExcessiveClipping(MarkovFlowError):
 
 
 class NoConvergence(MarkovFlowError):
-    """Iterative eigensolver failed to reach its target residual."""
+    """The eigensolver did not converge, or its eigensystem fails a
+    checked invariant (PSD, reconstruction, orthonormality)."""
 
 
 class BoundViolated(MarkovFlowError):

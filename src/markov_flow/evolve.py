@@ -100,6 +100,11 @@ def _cleanup_states(raw: np.ndarray) -> np.ndarray:
 
 def evolve(gen: GeneratorMatrix, p0: ProbabilityVector, times) -> Trajectory:
     """Integrate ``dp/dt = q p`` by matrix exponential at each grid point."""
+    if p0.n != gen.n:
+        raise ValueError(
+            f"size invariant violated: p0 has {p0.n} entries, the generator "
+            f"has {gen.n} states"
+        )
     t = _checked_times(times)
     raw = np.empty((t.size, gen.n))
     for k, tk in enumerate(t):
@@ -186,9 +191,9 @@ def entropy_trace(traj: Trajectory, gen: GeneratorMatrix,
     derivative series and carries no flag.
     """
     kinds = sorted(kinds, key=lambda k: k.trace_name)
-    pi = stationary_solve(gen)
     needs_decomposition = any(k.tag == "relative_gini" for k in kinds)
     d = decompose(gen) if needs_decomposition else None
+    pi = d.pi if d is not None else stationary_solve(gen)
 
     traces = dict(traj.traces)
     flags = dict(traj.monotone_violations)

@@ -15,10 +15,10 @@ empirically, together with the two identities the argument rests on:
 ``||p/sqrt(pi) - sqrt(pi)||^2 == D(p)`` and the vanishing projection of
 that vector on ``sqrt(pi)``.
 
-The eigensolver is a cyclic Jacobi iteration written out here rather than
-delegated, so small symmetric spectra are computed by a code path that is
-independent of any external linear-algebra routine and can itself be
-cross-checked in the tests.
+The spectrum comes from LAPACK's symmetric eigensolver (``eigh``);
+``spectral_bound`` still checks the returned eigensystem against the
+invariants above (``-G`` PSD, reconstruction, orthonormality, leading
+eigenvector ``sqrt(pi)``) before anything relies on it.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ from .errors import (
     NoConvergence,
     NotSymmetric,
     PositivityViolation,
+    RowSumViolation,
 )
 from .evolve import Trajectory
 
-JACOBI_OFF_RTOL = 1e-14
-JACOBI_MAX_SWEEPS = 100
 DEGENERATE_GAP_RTOL = 1e-10
 BOUND_RTOL = 1e-8
 
@@ -82,85 +81,43 @@ def build_G(d: FlowDecomposition) -> np.ndarray:
     root = np.sqrt(pi)
     G = d.S / (root[:, np.newaxis] * root[np.newaxis, :])
     scale = max(np.abs(G).max(), 1e-300)
-    assert np.abs(G - G.T).max() <= 1e-12 * scale, "G lost symmetry"
+    asym = np.abs(G - G.T).max()
+    if asym > 1e-12 * scale:
+        raise NotSymmetric(f"symmetry invariant violated: max|G - G^T| = {asym:.3g}")
     null_residual = np.abs(G @ root).max()
-    assert null_residual <= 1e-10 * scale, (
-        f"G @ sqrt(pi) residual {null_residual:.3g} exceeds 1e-10 relative"
-    )
+    if null_residual > 1e-10 * scale:
+        raise RowSumViolation(
+            f"null-vector invariant violated: G @ sqrt(pi) residual "
+            f"{null_residual:.3g} exceeds 1e-10 relative"
+        )
     return G
 
 
-def symmetric_eigensolve(m, *, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def symmetric_eigensolve(m):
+    """Eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     Returns ``(w, u)`` with eigenvalues ``w`` ascending and orthonormal
     eigenvector columns ``u`` such that ``m = u @ diag(w) @ u.T``.  The
     sign of each eigenvector is fixed by making its largest-magnitude
-    component positive, so results are deterministic.
+    component positive, so results are deterministic.  Raises
+    :class:`NotSymmetric` for an asymmetric input and
+    :class:`NoConvergence` when LAPACK fails to converge or returns
+    non-finite eigenvalues.
     """
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > 1e-12 * max(scale, 1e-300):
-        raise NotSymmetric(
-            f"symmetry invariant violated: ||m - m^T|| = {np.linalg.norm(a - a.T):.3g}"
-        )
-    a = (a + a.T) / 2.0
-    u = np.eye(n)
-    if scale == 0.0 or n == 1:
-        return _sorted_eigensystem(np.diag(a).copy(), u)
-
-    target = JACOBI_OFF_RTOL * scale
-    skip = 1e-300
-    for _ in range(max_sweeps):
-        if _offdiagonal_norm(a) <= target:
-            return _sorted_eigensystem(np.diag(a).copy(), u)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                # two-sided rotation in the (p, q) plane
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                u_p, u_q = u[:, p].copy(), u[:, q].copy()
-                u[:, p] = c * u_p - s * u_q
-                u[:, q] = s * u_p + c * u_q
-    raise NoConvergence(
-        f"off-diagonal norm {_offdiagonal_norm(a):.3g} above target "
-        f"{target:.3g} after {max_sweeps} sweeps"
-    )
-
-
-def _offdiagonal_norm(a: np.ndarray) -> float:
-    # direct sum over off-diagonal entries; the subtraction form
-    # ||a||^2 - sum(diag^2) has a cancellation floor far above round-off
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def _sorted_eigensystem(w: np.ndarray, u: np.ndarray):
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    u = u[:, order]
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0.0:
-            u[:, j] = -u[:, j]
+    asym = np.linalg.norm(a - a.T)
+    if asym > 1e-12 * max(np.linalg.norm(a), 1e-300):
+        raise NotSymmetric(f"symmetry invariant violated: ||m - m^T|| = {asym:.3g}")
+    try:
+        w, u = np.linalg.eigh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigh did not converge: {exc}") from exc
+    if not np.isfinite(w).all():
+        raise NoConvergence("eigh returned non-finite eigenvalues")
+    largest = np.argmax(np.abs(u), axis=0)
+    u[:, u[largest, np.arange(u.shape[1])] < 0.0] *= -1.0
     return w, u
 
 
@@ -174,13 +131,14 @@ def spectral_bound(d: FlowDecomposition) -> SpectralBound:
     G = build_G(d)
     w, u = symmetric_eigensolve(-G)
     top = max(w[-1], 1e-300)
-    assert w[0] >= -1e-10 * top, f"-G not PSD: lowest eigenvalue {w[0]:.3g}"
+    if w[0] < -1e-10 * top:
+        raise NoConvergence(f"-G not PSD: lowest eigenvalue {w[0]:.3g}")
     recon = np.linalg.norm(G + u @ np.diag(w) @ u.T)
-    assert recon <= 1e-10 * max(np.linalg.norm(G), 1e-300), (
-        f"eigendecomposition residual {recon:.3g}"
-    )
+    if recon > 1e-10 * max(np.linalg.norm(G), 1e-300):
+        raise NoConvergence(f"eigendecomposition residual {recon:.3g}")
     orth = np.abs(u.T @ u - np.eye(d.n)).max()
-    assert orth <= 1e-10, f"eigenvector orthonormality residual {orth:.3g}"
+    if orth > 1e-10:
+        raise NoConvergence(f"eigenvector orthonormality residual {orth:.3g}")
 
     root = np.sqrt(d.pi.p)
     if w[1] <= DEGENERATE_GAP_RTOL * top:
@@ -193,9 +151,11 @@ def spectral_bound(d: FlowDecomposition) -> SpectralBound:
         # simple zero eigenvalue: the first eigenvector is sqrt(pi);
         # attainable accuracy shrinks with the gap, so the check scales
         vec_tol = max(1e-8, 1e-12 * top / w[1])
-        assert np.abs(u[:, 0] - root).max() <= vec_tol, (
-            "leading eigenvector does not match sqrt(pi)"
-        )
+        vec_err = np.abs(u[:, 0] - root).max()
+        if vec_err > vec_tol:
+            raise NoConvergence(
+                f"leading eigenvector misses sqrt(pi) by {vec_err:.3g}"
+            )
     return SpectralBound(G=G, eigenvalues=w, eigenvectors=u, pi=d.pi.p)
 
 
@@ -229,6 +189,11 @@ def verify_bound(traj: Trajectory, d: FlowDecomposition,
     belong to the same generator or something is broken.  The sharper
     ``2 lam2`` rate is not asserted, only counted.
     """
+    if traj.n != d.n:
+        raise ValueError(
+            f"size invariant violated: trajectory has {traj.n} states, the "
+            f"decomposition has {d.n}"
+        )
     sb = spectral_bound(d)
     lam2 = sb.lambda2
     pi = d.pi.p

@@ -131,6 +131,15 @@ def test_bound_csv_two_state(q2_path, tmp_path):
     assert (data[:, 4] <= 1.0 + 1e-8).all()
 
 
+@pytest.mark.parametrize("command", ["evolve", "bound"])
+def test_size_mismatch_exits_2(command, q3_path, tmp_path, capsys):
+    p0 = tmp_path / "e1.json"
+    write_json(p0, [1.0, 0.0])
+    assert main([command, "--input", str(q3_path), "--p0", str(p0)]) == 2
+    err = capsys.readouterr().err
+    assert "size invariant violated: p0 has 2 entries, the generator has 3 states" in err
+
+
 def test_continuum_report(tmp_path):
     problem = tmp_path / "fpe.json"
     write_json(problem, {

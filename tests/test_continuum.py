@@ -112,7 +112,7 @@ def test_double_well_catalog_runs():
 
 def test_operator_adjointness_residuals():
     prob = fpe_problem(DOMAIN, 10, 10, "quadratic", "identity", 0.5)
-    report = operator_symmetry_report(prob)
+    report = operator_symmetry_report(prob, decompose(discretize_fpe(prob)))
     assert report.sym_residual <= 1e-12
     assert report.anti_residual <= 1e-12
 
@@ -124,7 +124,7 @@ def test_diffusion_only_operator_has_no_antisymmetric_part():
     anti = (L - L.T) / 2.0
     assert np.linalg.norm(anti) <= 1e-12 * np.linalg.norm(L)
     # and the mismatch report agrees: gamma = 0 means A_G is exactly zero
-    report = operator_symmetry_report(prob)
+    report = operator_symmetry_report(prob, decompose(discretize_fpe(prob)))
     assert report.mismatch <= 1e-12
 
 
@@ -132,7 +132,7 @@ def test_mismatch_decays_under_refinement():
     mismatches = []
     for grid in (12, 24):
         prob = fpe_problem(DOMAIN, grid, grid, "quadratic", "identity", 0.5)
-        mismatches.append(operator_symmetry_report(prob).mismatch)
+        mismatches.append(operator_symmetry_report(prob, decompose(discretize_fpe(prob))).mismatch)
     assert mismatches[0] / mismatches[1] >= 2.0
 
 
@@ -140,7 +140,7 @@ def test_custom_probes_accepted():
     prob = fpe_problem(SMALL, 6, 6, "quadratic", "identity", 0.3)
     f = polynomial_probes(prob, count=2, seed=5)
     g = polynomial_probes(prob, count=3, seed=6)
-    report = operator_symmetry_report(prob, f, g)
+    report = operator_symmetry_report(prob, decompose(discretize_fpe(prob)), f, g)
     assert report.sym_residual <= 1e-12
     assert report.anti_residual <= 1e-12
 

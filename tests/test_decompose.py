@@ -13,6 +13,8 @@ from markov_flow import (
     superpose_cycles,
     validate_generator,
 )
+from markov_flow.core import ProbabilityVector
+from markov_flow.decompose import FlowDecomposition, _check_flow_invariants
 from markov_flow.errors import InvalidFlow, NotAntisymmetric, NotBalanced
 
 from helpers import random_birth_death, random_circulation, random_generator
@@ -185,6 +187,16 @@ def test_detailed_balance_birth_death_holds():
     for _ in range(10):
         gen = random_birth_death(rng, int(rng.integers(3, 9)))
         assert is_detailed_balance(gen).balanced
+
+
+def test_flow_invariants_reject_circulation_with_diagonal():
+    # hand-built, unchecked: every row and column sums to zero and F has
+    # nonnegative off-diagonals, but A carries part of the diagonal
+    s = np.array([[-2.0, 2.0], [2.0, -2.0]])
+    a = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    d = FlowDecomposition(pi=ProbabilityVector(np.array([0.5, 0.5])), F=s + a, S=s, A=a)
+    with pytest.raises(NotAntisymmetric, match="nonzero diagonal"):
+        _check_flow_invariants(d)
 
 
 def test_dof_examples():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from markov_flow import (
+    FlowDecomposition,
+    ProbabilityVector,
     decompose,
     evolve,
     from_offdiagonal_rates,
@@ -15,7 +17,7 @@ from markov_flow import (
     shannon_entropy,
     shannon_production_split,
 )
-from markov_flow.errors import PositivityViolation
+from markov_flow.errors import NotAntisymmetric, PositivityViolation
 
 from helpers import random_birth_death, random_generator, random_probability
 
@@ -181,6 +183,16 @@ def test_production_split_detailed_balance_chain():
     parts = production_split(p, d)
     np.testing.assert_allclose(parts["s_part"], gini_production(p, d), atol=1e-12)
     assert abs(parts["a_part"]) <= 1e-15
+
+
+def test_production_split_rejects_nonantisymmetric_circulation():
+    # hand-built, unchecked: the "circulation" is not antisymmetric, so
+    # its quadratic form does not vanish
+    s = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    a = np.array([[0.0, 0.5], [0.0, 0.0]])
+    d = FlowDecomposition(pi=ProbabilityVector(np.array([0.5, 0.5])), F=s + a, S=s, A=a)
+    with pytest.raises(NotAntisymmetric, match="quadratic-form invariant"):
+        production_split([0.5, 0.5], d)
 
 
 def test_shannon_split_circulation_part_generically_nonzero():

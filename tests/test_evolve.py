@@ -115,6 +115,11 @@ def test_times_validation():
         evolve(gen, p0, [])
 
 
+def test_evolve_rejects_size_mismatch():
+    with pytest.raises(ValueError, match="size invariant violated: p0 has 2 entries"):
+        evolve(three_cycle(), probability_vector([1.0, 0.0]), [0.0, 1.0])
+
+
 def test_states_are_clean_probability_rows():
     rng = np.random.default_rng(7)
     gen = random_generator(rng, 6)

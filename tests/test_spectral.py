@@ -19,6 +19,7 @@ from markov_flow.errors import (
     DisconnectedWarning,
     NoConvergence,
     NotSymmetric,
+    RowSumViolation,
 )
 from markov_flow.instances import three_cycle, two_state
 
@@ -98,12 +99,44 @@ def test_eigensolve_rejects_asymmetric():
         symmetric_eigensolve(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-def test_eigensolve_reports_nonconvergence():
-    rng = np.random.default_rng(13)
-    m = rng.standard_normal((40, 40))
-    m = m + m.T
+def test_eigensolve_nonfinite_input_is_nonconvergence():
     with pytest.raises(NoConvergence):
-        symmetric_eigensolve(m, max_sweeps=1)
+        symmetric_eigensolve(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def test_eigensolve_lapack_failure_is_nonconvergence(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        symmetric_eigensolve(np.eye(3))
+
+
+def _hand_built(s, pi=None):
+    """Unchecked decomposition with symmetric part ``s`` and no circulation."""
+    n = s.shape[0]
+    pi = np.full(n, 1.0 / n) if pi is None else pi
+    return FlowDecomposition(pi=ProbabilityVector(pi), F=s, S=s, A=np.zeros((n, n)))
+
+
+def test_spectral_bound_rejects_nonzero_row_sums():
+    s = np.array([[-1.0, 0.5, 0.0], [0.5, -1.0, 0.5], [0.0, 0.5, -1.0]])
+    with pytest.raises(RowSumViolation, match=r"sqrt\(pi\)"):
+        spectral_bound(_hand_built(s))
+
+
+def test_build_G_rejects_asymmetric_flow():
+    s = np.array([[-1.0, 1.0], [0.5, -0.5]])
+    with pytest.raises(NotSymmetric, match=r"G - G\^T"):
+        build_G(_hand_built(s))
+
+
+def test_spectral_bound_rejects_indefinite_symmetric_part():
+    # zero row sums but positive diagonal: -G has eigenvalues -4 and 0
+    s = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    with pytest.raises(NoConvergence, match="not PSD"):
+        spectral_bound(_hand_built(s))
 
 
 def test_lambda2_two_state_matches_relaxation_rate():
@@ -213,6 +246,13 @@ def test_verify_bound_catches_mismatched_chain():
     traj_slow = evolve(slow, probability_vector([1.0, 0.0, 0.0]), t)
     with pytest.raises(BoundViolated):
         verify_bound(traj_slow, d_fast)
+
+
+def test_verify_bound_rejects_size_mismatch():
+    gen = two_state()
+    traj = evolve(gen, probability_vector([1.0, 0.0]), np.linspace(0.0, 1.0, 5))
+    with pytest.raises(ValueError, match="size invariant violated"):
+        verify_bound(traj, decompose(three_cycle()))
 
 
 def test_bound_report_csv_quantities_consistent():
