@@ -28,7 +28,7 @@ from .decompose import compose, cycle_decompose, decompose, dual
 from .entropy import RELATIVE_GINI, RELATIVE_SHANNON, SHANNON, gini_divergence, kl_divergence, shannon_entropy
 from .errors import MarkovFlowError
 from .evolve import default_time_grid, entropy_trace, evolve
-from .spectral import lambda2, verify_bound
+from .spectral import spectral_bound, verify_bound
 from .stationary import stationary_solve, stationary_tree
 
 TRACE_TOKENS = {
@@ -145,6 +145,11 @@ def _cmd_cycles(args) -> int:
 def _cmd_entropy(args) -> int:
     gen = generator_from_json(_read_json(args.input))
     p0 = probability_from_json(_read_json(args.p0))
+    if p0.n != gen.n:
+        raise ValueError(
+            f"size invariant violated: p0 has {p0.n} entries, the generator "
+            f"has {gen.n} states"
+        )
     if args.kind == "shannon":
         value = shannon_entropy(p0)
     else:
@@ -157,14 +162,18 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
-def _time_grid(gen, args) -> np.ndarray:
+def _time_grid(gen, args, sb) -> np.ndarray:
+    """The ``--t-max``/``--points`` grid.  Without ``--t-max`` it runs to
+    ten relaxation times of ``sb``, the chain's spectral bound; when ``sb``
+    is None the spectrum is computed here, on a best-effort basis."""
     if args.t_max is not None:
         return default_time_grid(gen, points=args.points, t_max=args.t_max)
-    try:
-        rate = lambda2(decompose(gen))
-    except MarkovFlowError:
-        rate = None
-    return default_time_grid(gen, points=args.points, decay_rate=rate)
+    if sb is None:
+        try:
+            sb = spectral_bound(decompose(gen))
+        except MarkovFlowError:
+            return default_time_grid(gen, points=args.points)
+    return default_time_grid(gen, points=args.points, decay_rate=sb.lambda2)
 
 
 def _cmd_evolve(args) -> int:
@@ -176,7 +185,7 @@ def _cmd_evolve(args) -> int:
         raise ValueError(
             f"unknown trace tokens {unknown}; available: {sorted(TRACE_TOKENS)}"
         )
-    times = _time_grid(gen, args)
+    times = _time_grid(gen, args, None)
     traj = evolve(gen, p0, times)
     traj = entropy_trace(traj, gen, [TRACE_TOKENS[tok] for tok in tokens])
     _emit_trajectory_csv(traj, args.output)
@@ -186,13 +195,9 @@ def _cmd_evolve(args) -> int:
 def _cmd_bound(args) -> int:
     gen = generator_from_json(_read_json(args.input))
     p0 = probability_from_json(_read_json(args.p0))
-    d = decompose(gen)
-    if args.t_max is not None:
-        times = default_time_grid(gen, points=args.points, t_max=args.t_max)
-    else:
-        times = default_time_grid(gen, points=args.points, decay_rate=lambda2(d))
-    traj = evolve(gen, p0, times)
-    _emit_bound_csv(verify_bound(traj, d), args.output)
+    sb = spectral_bound(decompose(gen))
+    traj = evolve(gen, p0, _time_grid(gen, args, sb))
+    _emit_bound_csv(verify_bound(traj, sb), args.output)
     return 0
 
 
@@ -258,11 +263,11 @@ def _cmd_demo(args) -> int:
     written.append(path)
 
     cyc = instances.three_cycle()
-    d = decompose(cyc)
-    times = np.concatenate([[0.0], np.geomspace(1e-3, 10.0 / lambda2(d), 200)])
+    sb = spectral_bound(decompose(cyc))
+    times = np.concatenate([[0.0], np.geomspace(1e-3, 10.0 / sb.lambda2, 200)])
     traj = evolve(cyc, probability_vector([1.0, 0.0, 0.0]), times)
     path = out / "bound_3cycle.csv"
-    _emit_bound_csv(verify_bound(traj, d), str(path))
+    _emit_bound_csv(verify_bound(traj, sb), str(path))
     written.append(path)
 
     for path in written:
@@ -343,9 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_continuum)
 
     p = sub.add_parser("demo", help="regenerate the repository's worked examples")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized campaigns (the demo itself is "
-                        "deterministic)")
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=_cmd_demo)
 

@@ -34,7 +34,12 @@ def _as_prob_array(p) -> np.ndarray:
     return np.asarray(p, dtype=float)
 
 
-def _check_reference(pi: np.ndarray):
+def _check_reference(p: np.ndarray, pi: np.ndarray):
+    if p.size != pi.size:
+        raise ValueError(
+            f"size invariant violated: p has {p.size} entries, the reference "
+            f"pi has {pi.size}"
+        )
     if pi.min() <= 0.0:
         i = int(np.argmin(pi))
         raise PositivityViolation(
@@ -53,7 +58,7 @@ def kl_divergence(p, pi) -> float:
     """``sum(p_i log(p_i/pi_i)) >= 0``, the log-based divergence to ``pi``."""
     arr = _as_prob_array(p)
     ref = _as_prob_array(pi)
-    _check_reference(ref)
+    _check_reference(arr, ref)
     mask = arr > 0.0
     return float((arr[mask] * np.log(arr[mask] / ref[mask])).sum()) + 0.0
 
@@ -71,7 +76,7 @@ def relative_f_entropy(p, pi, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """
     arr = _as_prob_array(p)
     ref = _as_prob_array(pi)
-    _check_reference(ref)
+    _check_reference(arr, ref)
     f1 = float(np.asarray(f(np.array([1.0])), dtype=float).reshape(-1)[0])
     if abs(f1) > 1e-12:
         raise ValueError(f"normalization contract violated: f(1) = {f1:.3g}, expected 0")
@@ -107,7 +112,7 @@ def gini_divergence(p, pi) -> float:
     """
     arr = _as_prob_array(p)
     ref = _as_prob_array(pi)
-    _check_reference(ref)
+    _check_reference(arr, ref)
     return float((arr * arr / ref).sum() - 1.0)
 
 

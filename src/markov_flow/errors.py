@@ -31,7 +31,8 @@ class SingularBeyondNullity(MarkovFlowError):
 
 
 class TooLarge(MarkovFlowError):
-    """Input exceeds the size supported by an exhaustive or dense method."""
+    """Input exceeds the size supported by a dense method: the continuum
+    discretization's cap on the number of cells."""
 
 
 class InvalidFlow(MarkovFlowError):

@@ -179,24 +179,25 @@ class BoundReport:
     projection_error: float       # max | <sqrt(pi), p/sqrt(pi)-sqrt(pi)> |
 
 
-def verify_bound(traj: Trajectory, d: FlowDecomposition,
+def verify_bound(traj: Trajectory, sb: SpectralBound,
                  *, rtol: float = BOUND_RTOL) -> BoundReport:
     """Check the spectral decay bound along a trajectory of the same chain.
 
-    Raises :class:`BoundViolated` if ``D(p(t))`` exceeds
-    ``D(p0) exp(-lam2 t)`` by more than ``rtol`` anywhere — the bound is
-    proven, so a violation means the trajectory and decomposition do not
-    belong to the same generator or something is broken.  The sharper
-    ``2 lam2`` rate is not asserted, only counted.
+    ``sb`` is the chain's :func:`spectral_bound`, so a caller that already
+    has the spectrum does not compute it again.  Raises
+    :class:`BoundViolated` if ``D(p(t))`` exceeds ``D(p0) exp(-lam2 t)`` by
+    more than ``rtol`` anywhere — the bound is proven, so a violation means
+    the trajectory and spectral bound do not belong to the same generator
+    or something is broken.  The sharper ``2 lam2`` rate is not asserted,
+    only counted.
     """
-    if traj.n != d.n:
+    if traj.n != sb.pi.size:
         raise ValueError(
             f"size invariant violated: trajectory has {traj.n} states, the "
-            f"decomposition has {d.n}"
+            f"spectral bound has {sb.pi.size}"
         )
-    sb = spectral_bound(d)
     lam2 = sb.lambda2
-    pi = d.pi.p
+    pi = sb.pi
     root = np.sqrt(pi)
 
     t = traj.times

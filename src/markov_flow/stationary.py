@@ -2,10 +2,11 @@
 
 ``stationary_solve`` is the production path: a dense linear solve of the
 rank-deficient balance system with the normalization appended as a
-replacement row.  ``stationary_tree`` is an exactness oracle built on the
-spanning-tree characterization of the stationary weights; it shares no
-linear-algebra code with the solver, which is what makes the cross-check
-in the test suite meaningful.
+replacement row.  ``stationary_tree`` is the oracle: Grassmann-Taksar-Heyman
+state reduction (Oper. Res. 33(5), 1985), which computes the spanning-tree
+weights of the Markov chain tree theorem by censoring one state at a time,
+subtraction-free and in O(n^3).  It shares no linear-algebra code with the
+solver, which is what makes the cross-check in the test suite meaningful.
 """
 
 from __future__ import annotations
@@ -14,13 +15,10 @@ import numpy as np
 import scipy.linalg
 
 from .core import GeneratorMatrix, ProbabilityVector
-from .errors import SingularBeyondNullity, TooLarge
+from .errors import SingularBeyondNullity
 
 # Residual contract for the linear-solve path, relative to max|q|.
 RESIDUAL_RTOL = 1e-10
-
-# Exhaustive tree enumeration grows like n^(n-2); past this it is pointless.
-TREE_MAX_STATES = 9
 
 
 def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
@@ -86,56 +84,39 @@ def _cond_estimate(m: np.ndarray) -> str:
 
 
 def stationary_tree(gen: GeneratorMatrix) -> ProbabilityVector:
-    """Stationary distribution via exhaustive spanning in-tree enumeration.
+    """Stationary distribution by Grassmann-Taksar-Heyman state reduction.
 
-    The weight of state ``i`` is the sum, over all spanning trees directed
-    into ``i``, of the product of the edge rates.  Trees are enumerated by
-    recursively growing parent assignments with immediate cycle pruning —
-    no determinants, no linear solves.  This is an oracle, capped at
-    ``n <= 9``.
+    States are censored one at a time from the last: the rates out of
+    state ``k`` are redistributed over the remaining states in proportion
+    to where ``k`` jumps next, and back-substitution recovers each
+    censored state's weight from the ones below it.  The result is the
+    Markov-chain-tree-theorem weight of every state, normalized.  Every
+    operation adds, multiplies or divides nonnegative numbers, so there is no
+    cancellation, and the cost is O(n^3) with no size cap.  The method
+    shares no linear-algebra code with :func:`stationary_solve`, which is
+    what makes it an independent oracle for it.
+
+    Raises
+    ------
+    SingularBeyondNullity
+        If a censored state has no rate left to the states below it, which
+        validated (irreducible) input never produces.
     """
     n = gen.n
-    if n > TREE_MAX_STATES:
-        raise TooLarge(
-            f"tree enumeration supports n <= {TREE_MAX_STATES}, got n={n}"
-        )
-    q = gen.q
-    weights = np.array([_rooted_tree_weight(q, root) for root in range(n)])
-    total = weights.sum()
-    if total <= 0.0:
-        # unreachable for validated (irreducible) input
-        raise SingularBeyondNullity("no spanning in-trees found")
-    return ProbabilityVector(weights / total)
-
-
-def _rooted_tree_weight(q: np.ndarray, root: int) -> float:
-    """Sum of rate products over all spanning trees directed into ``root``."""
-    n = q.shape[0]
-    others = [u for u in range(n) if u != root]
-    # candidate parents of u: edge u -> v exists iff q[v, u] > 0
-    candidates = {
-        u: [(v, q[v, u]) for v in range(n) if v != u and q[v, u] > 0.0]
-        for u in others
-    }
-    parent: dict[int, int] = {}
-    total = 0.0
-
-    def grow(k: int, weight: float):
-        nonlocal total
-        if k == len(others):
-            total += weight
-            return
-        u = others[k]
-        for v, rate in candidates[u]:
-            # walk assigned parents from v; hitting u would close a cycle
-            x = v
-            while x in parent:
-                x = parent[x]
-            if x == u:
-                continue
-            parent[u] = v
-            grow(k + 1, weight * rate)
-            del parent[u]
-
-    grow(0, 1.0)
-    return total
+    # row convention: a[i, j] is the rate from i to j; the diagonal is never read
+    a = gen.q.T.copy()
+    np.fill_diagonal(a, 0.0)
+    for k in range(n - 1, 0, -1):
+        s = a[k, :k].sum()
+        if not s > 0.0:
+            raise SingularBeyondNullity(
+                f"state reduction invariant violated: state {k} has exit rate "
+                f"{s:.3g} to states 0..{k - 1} after censoring states above it"
+            )
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k]) / s
+        a[:k, k] /= s
+    x = np.zeros(n)
+    x[0] = 1.0
+    for k in range(1, n):
+        x[k] = x[:k] @ a[:k, k]
+    return ProbabilityVector(x / x.sum())

@@ -179,7 +179,7 @@ def _bound_sweep():
         p0 = random_probability(rng, n, concentrated=bool(rng.integers(2)))
         grid = np.geomspace(1e-3, 10.0 / sb.lambda2, 40)
         traj = evolve(gen, p0, grid)
-        report = verify_bound(traj, d)  # raises BoundViolated on failure
+        report = verify_bound(traj, spectral_bound(d))  # raises BoundViolated on failure
         sharp_violations += report.sharp_violations
         worst_norm_identity = max(worst_norm_identity, report.norm_identity_error)
         worst_projection = max(worst_projection, report.projection_error)
@@ -196,7 +196,7 @@ def test_criterion_07_spectral_decay_bound():
     sb2 = spectral_bound(d2)
     t = np.linspace(0.0, 3.0, 60)
     traj2 = evolve(gen2, probability_vector([1.0, 0.0]), t)
-    rep2 = verify_bound(traj2, d2)
+    rep2 = verify_bound(traj2, spectral_bound(d2))
     lam2_ok = abs(sb2.lambda2 - 3.0) <= 1e-12
     dev2 = np.abs(rep2.divergence - 0.5 * np.exp(-2.0 * sb2.lambda2 * t)).max()
     inside2 = bool((rep2.ratio <= 1.0 + 1e-8).all())
@@ -206,7 +206,7 @@ def test_criterion_07_spectral_decay_bound():
     d3 = decompose(gen3)
     sb3 = spectral_bound(d3)
     traj3 = evolve(gen3, probability_vector([1.0, 0.0, 0.0]), t)
-    rep3 = verify_bound(traj3, d3)
+    rep3 = verify_bound(traj3, spectral_bound(d3))
     lam3_ok = abs(sb3.lambda2 - 1.5) <= 1e-12
     dev3 = np.abs(rep3.divergence - 2.0 * np.exp(-3.0 * t)).max()
 
@@ -308,7 +308,7 @@ def test_criterion_11_continuum_refinement():
 def test_criterion_12_demo_determinism(tmp_path):
     dirs = [tmp_path / "run_a", tmp_path / "run_b"]
     for d in dirs:
-        assert cli_main(["demo", "--seed", "0", "--output-dir", str(d)]) == 0
+        assert cli_main(["demo", "--output-dir", str(d)]) == 0
     names = sorted(p.name for p in dirs[0].iterdir())
     identical = all(
         (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()

@@ -131,11 +131,16 @@ def test_bound_csv_two_state(q2_path, tmp_path):
     assert (data[:, 4] <= 1.0 + 1e-8).all()
 
 
-@pytest.mark.parametrize("command", ["evolve", "bound"])
+@pytest.mark.parametrize(
+    "command",
+    [["evolve"], ["bound"], ["entropy", "--kind", "kl"],
+     ["entropy", "--kind", "gini"], ["entropy", "--kind", "shannon"]],
+    ids=["evolve", "bound", "entropy-kl", "entropy-gini", "entropy-shannon"],
+)
 def test_size_mismatch_exits_2(command, q3_path, tmp_path, capsys):
     p0 = tmp_path / "e1.json"
     write_json(p0, [1.0, 0.0])
-    assert main([command, "--input", str(q3_path), "--p0", str(p0)]) == 2
+    assert main([*command, "--input", str(q3_path), "--p0", str(p0)]) == 2
     err = capsys.readouterr().err
     assert "size invariant violated: p0 has 2 entries, the generator has 3 states" in err
 
@@ -164,8 +169,8 @@ def test_continuum_report(tmp_path):
 def test_demo_outputs_are_deterministic(tmp_path):
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
-    assert main(["demo", "--seed", "0", "--output-dir", str(dir_a)]) == 0
-    assert main(["demo", "--seed", "0", "--output-dir", str(dir_b)]) == 0
+    assert main(["demo", "--output-dir", str(dir_a)]) == 0
+    assert main(["demo", "--output-dir", str(dir_b)]) == 0
     names = sorted(p.name for p in dir_a.iterdir())
     assert names == [
         "bound_3cycle.csv",
@@ -194,10 +199,13 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
 
 
-def test_tree_method_size_cap_exits_2(tmp_path, capsys):
+def test_tree_method_has_no_size_cap(tmp_path, capsys):
     rng = np.random.default_rng(3)
     rates = rng.uniform(0.5, 1.5, (10, 10))
     big = tmp_path / "big.json"
     write_json(big, {"n": 10, "rates": rates.tolist()})
-    assert main(["stationary", "--input", str(big), "--method", "tree"]) == 2
-    assert "n <= 9" in capsys.readouterr().err
+    pi = {}
+    for method in ("solve", "tree"):
+        assert main(["stationary", "--input", str(big), "--method", method]) == 0
+        pi[method] = json.loads(capsys.readouterr().out)["pi"]
+    np.testing.assert_allclose(pi["tree"], pi["solve"], rtol=1e-10, atol=0.0)

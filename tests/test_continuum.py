@@ -14,6 +14,7 @@ from markov_flow import (
     probability_vector,
     recompose,
     refinement_study,
+    spectral_bound,
     stationary_solve,
     verify_bound,
 )
@@ -159,7 +160,7 @@ def test_discrete_invariants_hold_on_fpe_chain():
     lam2 = lambda2(d)
     t = np.geomspace(1e-3, 10.0 / lam2, 50)
     traj = evolve(gen, probability_vector(p0), t)
-    report = verify_bound(traj, d)  # raises if the decay bound fails
+    report = verify_bound(traj, spectral_bound(d))  # raises if the decay bound fails
     div = report.divergence
     assert ((div[1:] - div[:-1]) <= 1e-10).all()
 

@@ -97,6 +97,14 @@ def test_relative_f_rejects_nonpositive_reference():
         relative_f_entropy([0.5, 0.5], [1.0, 0.0], lambda x: x * x - 1.0)
 
 
+def test_divergences_reject_size_mismatch():
+    p, pi = [1.0, 0.0], np.full(3, 1 / 3)
+    for divergence in (kl_divergence, gini_divergence,
+                       lambda p, pi: relative_f_entropy(p, pi, lambda x: x * x - 1.0)):
+        with pytest.raises(ValueError, match="size invariant violated: p has 2 entries"):
+            divergence(p, pi)
+
+
 def test_gini_divergence_values():
     pi = np.array([0.3, 0.45, 0.25])
     assert abs(gini_divergence(pi, pi)) <= 1e-15

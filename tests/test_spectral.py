@@ -194,7 +194,7 @@ def test_verify_bound_trivial_at_stationarity():
     gen = three_cycle()
     d = decompose(gen)
     traj = evolve(gen, d.pi, np.linspace(0.0, 3.0, 10))
-    report = verify_bound(traj, d)
+    report = verify_bound(traj, spectral_bound(d))
     assert np.abs(report.divergence).max() <= 1e-12
 
 
@@ -203,7 +203,7 @@ def test_verify_bound_three_cycle_closed_form():
     d = decompose(gen)
     t = np.linspace(0.0, 5.0, 80)
     traj = evolve(gen, probability_vector([1.0, 0.0, 0.0]), t)
-    report = verify_bound(traj, d)
+    report = verify_bound(traj, spectral_bound(d))
     np.testing.assert_allclose(report.divergence[0], 2.0, atol=1e-12)
     np.testing.assert_allclose(report.divergence, 2.0 * np.exp(-3.0 * t), atol=1e-9)
     # degenerate spectrum makes the sharp rate exact, so no violations
@@ -221,7 +221,7 @@ def test_verify_bound_random_sweep():
         p0 = random_probability(rng, n, concentrated=bool(rng.integers(2)))
         t = np.geomspace(1e-3, 10.0 / lambda2(d), 40)
         traj = evolve(gen, p0, t)
-        report = verify_bound(traj, d)  # raises on violation
+        report = verify_bound(traj, spectral_bound(d))  # raises on violation
         assert report.sharp_violations == 0
         assert report.norm_identity_error <= 1e-12
         assert report.projection_error <= 1e-12
@@ -234,7 +234,7 @@ def test_verify_bound_survives_underflowing_grid():
     d = decompose(gen)
     t = np.array([0.0, 1.0, 50.0, 150.0, 250.0])
     traj = evolve(gen, probability_vector([1.0, 0.0]), t)
-    report = verify_bound(traj, d)
+    report = verify_bound(traj, spectral_bound(d))
     assert report.divergence[-1] <= 1e-13
 
 
@@ -245,14 +245,14 @@ def test_verify_bound_catches_mismatched_chain():
     t = np.linspace(0.0, 5.0, 30)
     traj_slow = evolve(slow, probability_vector([1.0, 0.0, 0.0]), t)
     with pytest.raises(BoundViolated):
-        verify_bound(traj_slow, d_fast)
+        verify_bound(traj_slow, spectral_bound(d_fast))
 
 
 def test_verify_bound_rejects_size_mismatch():
     gen = two_state()
     traj = evolve(gen, probability_vector([1.0, 0.0]), np.linspace(0.0, 1.0, 5))
     with pytest.raises(ValueError, match="size invariant violated"):
-        verify_bound(traj, decompose(three_cycle()))
+        verify_bound(traj, spectral_bound(decompose(three_cycle())))
 
 
 def test_bound_report_csv_quantities_consistent():
@@ -260,7 +260,7 @@ def test_bound_report_csv_quantities_consistent():
     d = decompose(gen)
     t = np.geomspace(1e-2, 3.0, 25)
     traj = evolve(gen, probability_vector([1.0, 0.0]), t)
-    report = verify_bound(traj, d)
+    report = verify_bound(traj, spectral_bound(d))
     np.testing.assert_allclose(
         report.bound, report.divergence[0] * np.exp(-report.lam2 * (t - t[0])),
         rtol=1e-12,

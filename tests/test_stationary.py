@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from markov_flow import (
     GeneratorMatrix,
@@ -8,7 +11,7 @@ from markov_flow import (
     stationary_tree,
     validate_generator,
 )
-from markov_flow.errors import SingularBeyondNullity, TooLarge
+from markov_flow.errors import SingularBeyondNullity
 
 from helpers import random_generator
 
@@ -57,15 +60,39 @@ def test_time_rescaling_invariance():
     )
 
 
-def test_tree_size_cap():
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(2, 30), data=st.data())
+def test_tree_matches_solve_on_wide_rates(n, data):
+    # irreducible by the ring u -> u+1; other edges and log-uniform rates
+    # spanning four decades are drawn
+    exponents = data.draw(arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0)))
+    edges = data.draw(arrays(np.bool_, (n, n)))
+    ring = np.roll(np.eye(n, dtype=bool), 1, axis=0)
+    rates = np.where(edges | ring, 10.0 ** exponents, 0.0)
+    np.fill_diagonal(rates, 0.0)
+    gen = from_offdiagonal_rates(rates)
+    pi = stationary_tree(gen).p
+    np.testing.assert_allclose(pi, stationary_solve(gen).p, rtol=1e-10, atol=0.0)
+    assert pi.min() > 0.0
+    assert abs(pi.sum() - 1.0) <= 1e-14
+
+
+def test_tree_has_no_size_cap():
     rng = np.random.default_rng(1)
     gen = random_generator(rng, 10)
-    with pytest.raises(TooLarge):
-        stationary_tree(gen)
+    np.testing.assert_allclose(
+        stationary_tree(gen).p, stationary_solve(gen).p, rtol=1e-10, atol=0.0
+    )
+
+
+METHODS = pytest.mark.parametrize(
+    "method", [stationary_solve, stationary_tree], ids=["solve", "tree"]
+)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_singular_detection_on_unvalidated_input():
+@METHODS
+def test_singular_detection_on_unvalidated_input(method):
     # two closed blocks: null space is two-dimensional; the direct
     # constructor skips validation, so the solver must catch it
     q = np.array([
@@ -75,10 +102,11 @@ def test_singular_detection_on_unvalidated_input():
         [0.0, 0.0, 3.0, -1.0],
     ])
     with pytest.raises(SingularBeyondNullity):
-        stationary_solve(GeneratorMatrix(q))
+        method(GeneratorMatrix(q))
 
 
-def test_absorbing_unvalidated_input():
+@METHODS
+def test_absorbing_unvalidated_input(method):
     q = np.array([[-1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(SingularBeyondNullity):
-        stationary_solve(GeneratorMatrix(q))
+        method(GeneratorMatrix(q))
