@@ -162,15 +162,16 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
-def _time_grid(gen, args, sb) -> np.ndarray:
+def _time_grid(gen, args, d, sb=None) -> np.ndarray:
     """The ``--t-max``/``--points`` grid.  Without ``--t-max`` it runs to
-    ten relaxation times of ``sb``, the chain's spectral bound; when ``sb``
-    is None the spectrum is computed here, on a best-effort basis."""
+    ten relaxation times of ``sb``, the spectral bound of ``gen``'s
+    decomposition ``d``; when ``sb`` is None it is computed from ``d`` here,
+    on a best-effort basis."""
     if args.t_max is not None:
         return default_time_grid(gen, points=args.points, t_max=args.t_max)
     if sb is None:
         try:
-            sb = spectral_bound(decompose(gen))
+            sb = spectral_bound(d)
         except MarkovFlowError:
             return default_time_grid(gen, points=args.points)
     return default_time_grid(gen, points=args.points, decay_rate=sb.lambda2)
@@ -185,9 +186,9 @@ def _cmd_evolve(args) -> int:
         raise ValueError(
             f"unknown trace tokens {unknown}; available: {sorted(TRACE_TOKENS)}"
         )
-    times = _time_grid(gen, args, None)
-    traj = evolve(gen, p0, times)
-    traj = entropy_trace(traj, gen, [TRACE_TOKENS[tok] for tok in tokens])
+    d = decompose(gen)
+    traj = evolve(gen, p0, _time_grid(gen, args, d))
+    traj = entropy_trace(traj, d, [TRACE_TOKENS[tok] for tok in tokens])
     _emit_trajectory_csv(traj, args.output)
     return 0
 
@@ -195,8 +196,9 @@ def _cmd_evolve(args) -> int:
 def _cmd_bound(args) -> int:
     gen = generator_from_json(_read_json(args.input))
     p0 = probability_from_json(_read_json(args.p0))
-    sb = spectral_bound(decompose(gen))
-    traj = evolve(gen, p0, _time_grid(gen, args, sb))
+    d = decompose(gen)
+    sb = spectral_bound(d)
+    traj = evolve(gen, p0, _time_grid(gen, args, d, sb))
     _emit_bound_csv(verify_bound(traj, sb), args.output)
     return 0
 
@@ -257,7 +259,8 @@ def _cmd_demo(args) -> int:
     gen, p0 = instances.shannon_nonmonotone()
     times = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 200)])
     traj = evolve(gen, p0, times)
-    traj = entropy_trace(traj, gen, [SHANNON, RELATIVE_SHANNON, RELATIVE_GINI])
+    traj = entropy_trace(traj, decompose(gen),
+                         [SHANNON, RELATIVE_SHANNON, RELATIVE_GINI])
     path = out / "entropy_traces.csv"
     _emit_trajectory_csv(traj, str(path))
     written.append(path)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import GeneratorMatrix, ProbabilityVector
-from .decompose import decompose
+from .decompose import FlowDecomposition
 from .entropy import (
     EntropyKind,
     gini_divergence,
@@ -29,7 +29,6 @@ from .entropy import (
     shannon_entropy,
 )
 from .errors import StepTooLarge
-from .stationary import stationary_solve
 
 log = logging.getLogger(__name__)
 
@@ -179,10 +178,12 @@ def _nonmonotone_index(x: np.ndarray, tol: float):
     return max(up, down)
 
 
-def entropy_trace(traj: Trajectory, gen: GeneratorMatrix,
+def entropy_trace(traj: Trajectory, d: FlowDecomposition,
                   kinds: Iterable[EntropyKind]) -> Trajectory:
     """Attach per-time entropy series and monotonicity flags to a trajectory.
 
+    ``d`` is the decomposition of the chain that produced ``traj``: the
+    divergences are taken to ``d.pi`` and the production uses ``d.S``.
     Expected directions: the ``kl`` and ``gini_divergence`` series are
     non-increasing, a custom ``relative_f`` series (entropy orientation,
     <= 0) is non-decreasing, and bare Shannon entropy has no guaranteed
@@ -191,9 +192,7 @@ def entropy_trace(traj: Trajectory, gen: GeneratorMatrix,
     derivative series and carries no flag.
     """
     kinds = sorted(kinds, key=lambda k: k.trace_name)
-    needs_decomposition = any(k.tag == "relative_gini" for k in kinds)
-    d = decompose(gen) if needs_decomposition else None
-    pi = d.pi if d is not None else stationary_solve(gen)
+    pi = d.pi
 
     traces = dict(traj.traces)
     flags = dict(traj.monotone_violations)

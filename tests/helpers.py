@@ -1,6 +1,8 @@
 """Shared builders for randomized test sweeps."""
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from markov_flow import GeneratorMatrix, from_offdiagonal_rates, probability_vector
 
@@ -18,6 +20,22 @@ def random_generator(rng, n, density=1.0) -> GeneratorMatrix:
         for u in range(n):
             ring[(u + 1) % n, u] = True
         rates *= keep | ring
+    np.fill_diagonal(rates, 0.0)
+    return from_offdiagonal_rates(rates)
+
+
+@st.composite
+def wide_rate_generators(draw) -> GeneratorMatrix:
+    """Hypothesis strategy: irreducible generators with n in 2..30.
+
+    Irreducible by the ring u -> u+1; the other edges and log-uniform rates
+    spanning four decades (10^-2 to 10^2) are drawn.
+    """
+    n = draw(st.integers(2, 30))
+    exponents = draw(arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0)))
+    edges = draw(arrays(np.bool_, (n, n)))
+    ring = np.roll(np.eye(n, dtype=bool), 1, axis=0)
+    rates = np.where(edges | ring, 10.0 ** exponents, 0.0)
     np.fill_diagonal(rates, 0.0)
     return from_offdiagonal_rates(rates)
 

@@ -138,7 +138,7 @@ def test_criterion_05_divergence_monotonicity():
         gen = random_generator(rng, n, density=float(rng.uniform(0.4, 1.0)))
         p0 = random_probability(rng, n, concentrated=bool(rng.integers(2)))
         grid = default_time_grid(gen, points=30)
-        traj = entropy_trace(evolve(gen, p0, grid), gen,
+        traj = entropy_trace(evolve(gen, p0, grid), decompose(gen),
                              [RELATIVE_SHANNON, RELATIVE_GINI])
         gd = traj.traces["gini_divergence"]
         kl = traj.traces["kl"]
@@ -153,7 +153,8 @@ def test_criterion_05_divergence_monotonicity():
 def test_criterion_06_shannon_nonmonotone_instance():
     gen, p0 = shannon_nonmonotone()
     times = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 200)])
-    traj = entropy_trace(evolve(gen, p0, times), gen, [SHANNON, RELATIVE_SHANNON])
+    traj = entropy_trace(evolve(gen, p0, times), decompose(gen),
+                         [SHANNON, RELATIVE_SHANNON])
     h = traj.traces["shannon"]
     peak = int(np.argmax(h))
     rise = h[peak] - h[0]

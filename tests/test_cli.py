@@ -1,4 +1,6 @@
+import importlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -114,6 +116,24 @@ def test_evolve_csv(q3_path, tmp_path):
     np.testing.assert_allclose(data[:, 1:4].sum(axis=1), 1.0, atol=1e-12)
     kl = data[:, header.index("kl")]
     assert ((kl[1:] - kl[:-1]) <= 1e-10).all()
+
+
+def test_evolve_decomposes_once(q3_path, tmp_path, monkeypatch):
+    # the default time grid and the traces share one decomposition
+    cli = importlib.import_module("markov_flow.cli")
+    decompose_module = importlib.import_module("markov_flow.decompose")
+    decompose_calls = mock.Mock(wraps=cli.decompose)
+    solve_calls = mock.Mock(wraps=decompose_module.stationary_solve)
+    monkeypatch.setattr(cli, "decompose", decompose_calls)
+    monkeypatch.setattr(decompose_module, "stationary_solve", solve_calls)
+    p0 = tmp_path / "p0.json"
+    write_json(p0, [1.0, 0.0, 0.0])
+    assert main([
+        "evolve", "--input", str(q3_path), "--p0", str(p0), "--points", "20",
+        "--output", str(tmp_path / "traj.csv"),
+    ]) == 0
+    assert decompose_calls.call_count == 1
+    assert solve_calls.call_count == 1
 
 
 def test_bound_csv_two_state(q2_path, tmp_path):

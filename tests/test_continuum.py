@@ -7,6 +7,7 @@ from markov_flow import (
     discretize_fpe_detailed,
     evolve,
     fpe_problem,
+    from_offdiagonal_rates,
     gibbs_distribution,
     is_detailed_balance,
     lambda2,
@@ -18,7 +19,6 @@ from markov_flow import (
     stationary_solve,
     verify_bound,
 )
-from markov_flow.continuum import polynomial_probes
 from markov_flow.errors import ExcessiveClipping, Overflow, TooLarge
 
 DOMAIN = ((-3.0, 3.0), (-3.0, 3.0))
@@ -87,6 +87,98 @@ def test_pure_diffusion_second_order_convergence():
     assert errors[0] / errors[1] >= 3.0
 
 
+def test_anisotropic_diffusion_second_order_convergence():
+    errors = []
+    for grid in (16, 32, 64):
+        prob = fpe_problem(DOMAIN, grid, grid, "quadratic", np.diag([1.0, 0.6]), 0.4)
+        gen = discretize_fpe(prob)
+        errors.append(
+            np.abs(stationary_solve(gen).p - gibbs_distribution(prob).p).sum()
+        )
+    assert errors[0] / errors[1] >= 3.5
+    assert errors[1] / errors[2] >= 3.5
+
+
+def _skew_phi(x, y):
+    return 0.5 * x * x + 0.3 * y * y + 0.1 * x * y
+
+
+def _skew_diffusion(x, y):
+    off = 0.03 * (1.0 + 0.1 * y)
+    return [[1.0 + 0.1 * x * x, off], [off, 0.8 + 0.1 * y * y]]
+
+
+def _skew_gamma(x, y):
+    return 0.3 + 0.1 * x
+
+
+def test_axis_swap_only_relabels_cells():
+    # an off-diagonal, varying D and a varying gamma on a non-square grid;
+    # swapping x and y transposes every field and negates gamma, so the
+    # swapped problem's chain is the original one with its cells relabeled
+    prob = fpe_problem(SMALL, 7, 6, _skew_phi, _skew_diffusion, _skew_gamma)
+    swapped = fpe_problem(
+        SMALL, 6, 7,
+        lambda x, y: _skew_phi(y, x),
+        lambda x, y: np.asarray(_skew_diffusion(y, x))[::-1, ::-1],
+        lambda x, y: -_skew_gamma(y, x),
+    )
+    gen, clip = discretize_fpe_detailed(prob)
+    gen_t, clip_t = discretize_fpe_detailed(swapped)
+    # cell (i, j) of the 7x6 grid is cell (j, i) of the 6x7 grid
+    perm = np.arange(prob.n).reshape(6, 7).T.reshape(-1)
+    scale = np.abs(gen.q).max()
+    assert np.abs(gen_t.q[np.ix_(perm, perm)] - gen.q).max() <= 1e-14 * scale
+    assert clip.entries_clipped > 0
+    assert clip_t.entries_clipped == clip.entries_clipped
+
+
+def _face_loop_rates(prob):
+    """Reference assembly: one face at a time, in Python, pre-clip."""
+    phi, dif, gam = prob.phi, prob.diffusion, prob.gamma
+    nx, ny, idx = prob.nx, prob.ny, prob.index
+    L = np.zeros((prob.n, prob.n))
+    for axis, h_n, h_t in ((0, prob.hx, prob.hy), (1, prob.hy, prob.hx)):
+        sign = 1.0 if axis == 0 else -1.0       # G's off-axis entry
+        for i in range(nx - 1 + axis):
+            for j in range(ny - axis):
+                lo, hi = (i, j), (i + 1 - axis, j + axis)
+                d_nn = 0.5 * (dif[lo][axis, axis] + dif[hi][axis, axis])
+                d_nt = 0.5 * (dif[lo][axis, 1 - axis] + sign * gam[lo]
+                              + dif[hi][axis, 1 - axis] + sign * gam[hi])
+                dphi_n = (phi[hi] - phi[lo]) / h_n
+                terms = [(lo, d_nn * (0.5 * dphi_n - 1.0 / h_n)),
+                         (hi, d_nn * (0.5 * dphi_n + 1.0 / h_n))]
+                for (a, b) in (lo, hi):
+                    if axis == 0:
+                        up, dn = (a, min(b + 1, ny - 1)), (a, max(b - 1, 0))
+                    else:
+                        up, dn = (min(a + 1, nx - 1), b), (max(a - 1, 0), b)
+                    dphi_t = (phi[up] - phi[dn]) / (2.0 * h_t)
+                    terms += [((a, b), d_nt * 0.5 * dphi_t),
+                              (up, d_nt * 0.5 / (2.0 * h_t)),
+                              (dn, -d_nt * 0.5 / (2.0 * h_t))]
+                for cell, coeff in terms:
+                    L[idx(*lo), idx(*cell)] += coeff / h_n
+                    L[idx(*hi), idx(*cell)] -= coeff / h_n
+    np.fill_diagonal(L, 0.0)
+    return L
+
+
+@pytest.mark.parametrize("case", ["skew", "twisted"])
+def test_assembly_matches_face_loop(case):
+    if case == "skew":
+        prob = fpe_problem(SMALL, 7, 6, _skew_phi, _skew_diffusion, _skew_gamma)
+    else:
+        prob = fpe_problem(DOMAIN, 12, 12, "quadratic", "identity", 0.5)
+    rates = _face_loop_rates(prob)
+    gen, clip = discretize_fpe_detailed(prob)
+    # same arithmetic in the same order: equal to the last bit
+    expected = from_offdiagonal_rates(np.clip(rates, 0.0, None))
+    np.testing.assert_array_equal(gen.q, expected.q)
+    assert clip.entries_clipped == int((rates < 0.0).sum())
+
+
 def test_circulation_preserves_gibbs_but_breaks_balance():
     errors = []
     for grid in (8, 16):
@@ -129,21 +221,21 @@ def test_diffusion_only_operator_has_no_antisymmetric_part():
     assert report.mismatch <= 1e-12
 
 
+def test_mismatch_measures_symmetric_part_against_diffusion_flow():
+    prob = fpe_problem(DOMAIN, 10, 10, "quadratic", "identity", 0.5)
+    d = decompose(discretize_fpe(prob))
+    free = decompose(discretize_fpe(fpe_problem(DOMAIN, 10, 10, "quadratic")))
+    expected = np.linalg.norm(d.S - free.F) / np.linalg.norm(d.F)
+    report = operator_symmetry_report(prob, d)
+    assert abs(report.mismatch - expected) <= 1e-12 * expected
+
+
 def test_mismatch_decays_under_refinement():
     mismatches = []
     for grid in (12, 24):
         prob = fpe_problem(DOMAIN, grid, grid, "quadratic", "identity", 0.5)
         mismatches.append(operator_symmetry_report(prob, decompose(discretize_fpe(prob))).mismatch)
     assert mismatches[0] / mismatches[1] >= 2.0
-
-
-def test_custom_probes_accepted():
-    prob = fpe_problem(SMALL, 6, 6, "quadratic", "identity", 0.3)
-    f = polynomial_probes(prob, count=2, seed=5)
-    g = polynomial_probes(prob, count=3, seed=6)
-    report = operator_symmetry_report(prob, decompose(discretize_fpe(prob)), f, g)
-    assert report.sym_residual <= 1e-12
-    assert report.anti_residual <= 1e-12
 
 
 def test_discrete_invariants_hold_on_fpe_chain():

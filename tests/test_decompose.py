@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from markov_flow import (
     compose,
@@ -17,7 +18,12 @@ from markov_flow.core import ProbabilityVector
 from markov_flow.decompose import FlowDecomposition, _check_flow_invariants
 from markov_flow.errors import InvalidFlow, NotAntisymmetric, NotBalanced
 
-from helpers import random_birth_death, random_circulation, random_generator
+from helpers import (
+    random_birth_death,
+    random_circulation,
+    random_generator,
+    wide_rate_generators,
+)
 
 
 def three_cycle():
@@ -142,6 +148,13 @@ def test_compose_matches_decompose():
         assert np.abs(back.q - gen.q).max() <= 1e-12 * np.abs(gen.q).max()
 
 
+@settings(derandomize=True, deadline=None)
+@given(gen=wide_rate_generators())
+def test_roundtrip_on_wide_rates(gen):
+    back = recompose(decompose(gen))
+    assert np.abs(back.q - gen.q).max() <= 1e-12 * np.abs(gen.q).max()
+
+
 def test_dual_of_reversible_chain_is_identity():
     rng = np.random.default_rng(23)
     gen = random_birth_death(rng, 6)
@@ -165,6 +178,17 @@ def test_dual_properties_random():
         assert np.abs(d_star.A + d.A).max() <= 1e-12 * max(a_scale, np.abs(d.F).max())
         again = dual(star)
         assert np.abs(again.q - gen.q).max() <= 1e-12 * np.abs(gen.q).max()
+
+
+@settings(derandomize=True, deadline=None)
+@given(gen=wide_rate_generators())
+def test_dual_on_wide_rates(gen):
+    d = decompose(gen)
+    star = dual(gen)
+    d_star = decompose(star)
+    assert np.abs(dual(star).q - gen.q).max() <= 1e-12 * np.abs(gen.q).max()
+    assert np.abs(d_star.pi.p - d.pi.p).max() <= 1e-12
+    assert np.abs(d_star.A + d.A).max() <= 1e-12 * np.abs(d.F).max()
 
 
 def test_detailed_balance_two_state_always():

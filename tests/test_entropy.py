@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from markov_flow import (
     FlowDecomposition,
@@ -19,7 +22,12 @@ from markov_flow import (
 )
 from markov_flow.errors import NotAntisymmetric, PositivityViolation
 
-from helpers import random_birth_death, random_generator, random_probability
+from helpers import (
+    random_birth_death,
+    random_generator,
+    random_probability,
+    wide_rate_generators,
+)
 
 
 def three_cycle():
@@ -181,6 +189,18 @@ def test_production_split_circulation_part_vanishes():
         np.testing.assert_allclose(
             parts["s_part"] + parts["a_part"], gini_production(p, d), atol=1e-10
         )
+
+
+@settings(derandomize=True, deadline=None)
+@given(gen=wide_rate_generators(), data=st.data())
+def test_production_split_on_wide_rates(gen, data):
+    weights = data.draw(arrays(np.float64, gen.n, elements=st.floats(0.0, 1.0)))
+    assume(weights.sum() > 0.0)
+    p = probability_vector(weights / weights.sum())
+    d = decompose(gen)
+    r = p.p / d.pi.p
+    scale = np.linalg.norm(d.A) * (r @ r)
+    assert abs(production_split(p, d)["a_part"]) <= 1e-13 * max(scale, 1e-300)
 
 
 def test_production_split_detailed_balance_chain():

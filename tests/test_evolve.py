@@ -162,7 +162,7 @@ def test_traces_detailed_balance_chain_kl_monotone():
     gen = random_birth_death(rng, 5)
     p0 = random_probability(rng, 5)
     traj = evolve(gen, p0, np.geomspace(1e-3, 40.0, 120))
-    traj = entropy_trace(traj, gen, [RELATIVE_SHANNON, RELATIVE_GINI])
+    traj = entropy_trace(traj, decompose(gen), [RELATIVE_SHANNON, RELATIVE_GINI])
     assert traj.monotone_violations["kl"] is None
     assert traj.monotone_violations["gini_divergence"] is None
     assert "gini_production" in traj.traces
@@ -172,7 +172,7 @@ def test_traces_detailed_balance_chain_kl_monotone():
 def test_traces_shannon_nonmonotone_instance():
     gen, p0 = shannon_nonmonotone()
     times = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 200)])
-    traj = entropy_trace(evolve(gen, p0, times), gen,
+    traj = entropy_trace(evolve(gen, p0, times), decompose(gen),
                          [SHANNON, RELATIVE_SHANNON, RELATIVE_GINI])
     shannon = traj.traces["shannon"]
     peak = int(np.argmax(shannon))
@@ -190,7 +190,7 @@ def test_traces_gini_monotone_random_sweep():
         gen = random_generator(rng, n, density=float(rng.uniform(0.5, 1.0)))
         p0 = random_probability(rng, n, concentrated=bool(rng.integers(2)))
         grid = default_time_grid(gen, points=40)
-        traj = entropy_trace(evolve(gen, p0, grid), gen, [RELATIVE_GINI])
+        traj = entropy_trace(evolve(gen, p0, grid), decompose(gen), [RELATIVE_GINI])
         assert traj.monotone_violations["gini_divergence"] is None
 
 
@@ -199,7 +199,8 @@ def test_traces_custom_relative_f_kind_monotone():
     gen = random_generator(rng, 4)
     p0 = random_probability(rng, 4)
     kind = relative_f_kind(lambda x: (x - 1.0) ** 2, name="sq_dist")
-    traj = entropy_trace(evolve(gen, p0, np.geomspace(1e-3, 30.0, 80)), gen, [kind])
+    traj = evolve(gen, p0, np.geomspace(1e-3, 30.0, 80))
+    traj = entropy_trace(traj, decompose(gen), [kind])
     assert traj.monotone_violations["sq_dist"] is None
     assert traj.traces["sq_dist"].max() <= 1e-12
 

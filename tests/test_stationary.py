@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from markov_flow import (
     GeneratorMatrix,
@@ -13,7 +11,7 @@ from markov_flow import (
 )
 from markov_flow.errors import SingularBeyondNullity
 
-from helpers import random_generator
+from helpers import random_generator, wide_rate_generators
 
 
 def test_two_state_balance():
@@ -61,16 +59,8 @@ def test_time_rescaling_invariance():
 
 
 @settings(derandomize=True, deadline=None)
-@given(n=st.integers(2, 30), data=st.data())
-def test_tree_matches_solve_on_wide_rates(n, data):
-    # irreducible by the ring u -> u+1; other edges and log-uniform rates
-    # spanning four decades are drawn
-    exponents = data.draw(arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0)))
-    edges = data.draw(arrays(np.bool_, (n, n)))
-    ring = np.roll(np.eye(n, dtype=bool), 1, axis=0)
-    rates = np.where(edges | ring, 10.0 ** exponents, 0.0)
-    np.fill_diagonal(rates, 0.0)
-    gen = from_offdiagonal_rates(rates)
+@given(gen=wide_rate_generators())
+def test_tree_matches_solve_on_wide_rates(gen):
     pi = stationary_tree(gen).p
     np.testing.assert_allclose(pi, stationary_solve(gen).p, rtol=1e-10, atol=0.0)
     assert pi.min() > 0.0
