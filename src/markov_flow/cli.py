@@ -56,10 +56,9 @@ def _emit_json(obj, output: str | None):
 
 
 def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
+    row = ",".join(["%.17g"] * len(columns))
     lines = [",".join(header)]
-    rows = len(columns[0])
-    for k in range(rows):
-        lines.append(",".join(f"{col[k]:.17g}" for col in columns))
+    lines.extend(row % values for values in zip(*(col.tolist() for col in columns)))
     return "\n".join(lines) + "\n"
 
 

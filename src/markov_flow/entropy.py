@@ -116,6 +116,12 @@ def gini_divergence(p, pi) -> float:
     return float((arr * arr / ref).sum() - 1.0)
 
 
+def gini_divergence_rows(states: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """:func:`gini_divergence` of each row of ``states``, with one check."""
+    _check_reference(states[0], pi)
+    return (states * states / pi).sum(axis=1) - 1.0
+
+
 def gini_production(p, d: FlowDecomposition) -> float:
     """Time derivative of the quadratic divergence: ``2 r^T S r <= 0``."""
     r = _as_prob_array(p) / d.pi.p

@@ -65,7 +65,8 @@ class PositivityViolation(MarkovFlowError):
 
 
 class Overflow(MarkovFlowError):
-    """Potential range too wide for exp() in double precision."""
+    """A result leaves the range of double precision: a potential too wide
+    for exp(), or a master-equation step whose state is not finite."""
 
 
 class ExcessiveClipping(MarkovFlowError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import FlowDecomposition
-from .entropy import gini_divergence
+from .entropy import gini_divergence_rows
 from .errors import (
     BoundViolated,
     DisconnectedWarning,
@@ -202,7 +202,7 @@ def verify_bound(traj: Trajectory, sb: SpectralBound,
 
     t = traj.times
     elapsed = t - t[0]
-    div = np.array([gini_divergence(row, pi) for row in traj.states])
+    div = gini_divergence_rows(traj.states, pi)
     d0 = div[0]
     bound = d0 * np.exp(-lam2 * elapsed)
     sharp = d0 * np.exp(-2.0 * lam2 * elapsed)

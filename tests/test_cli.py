@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from markov_flow.cli import main
+from markov_flow.cli import _csv_text, main
 
 
 def write_json(path, obj):
@@ -163,6 +163,29 @@ def test_size_mismatch_exits_2(command, q3_path, tmp_path, capsys):
     assert main([*command, "--input", str(q3_path), "--p0", str(p0)]) == 2
     err = capsys.readouterr().err
     assert "size invariant violated: p0 has 2 entries, the generator has 3 states" in err
+
+
+@pytest.mark.parametrize("command", ["evolve", "bound"])
+@pytest.mark.parametrize("t_max", ["1e308", "inf", "nan"])
+def test_non_finite_evolution_exits_2(command, t_max, q3_path, tmp_path, capsys):
+    # at 1e308 the first step's propagator overflows to nan rows
+    p0 = tmp_path / "e1.json"
+    write_json(p0, [1.0, 0.0, 0.0])
+    out = tmp_path / "out.csv"
+    assert main([command, "--input", str(q3_path), "--p0", str(p0),
+                 "--t-max", t_max, "--output", str(out)]) == 2
+    assert "finiteness invariant violated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_csv_text_matches_format_spec():
+    values = np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308,
+                       np.inf, -np.inf, np.nan, 0.1, -1.0 / 3.0, 123456789.0])
+    text = _csv_text(["a", "b"], [values, values[::-1]])
+    expected = "a,b\n" + "".join(
+        f"{x:.17g},{y:.17g}\n" for x, y in zip(values, values[::-1])
+    )
+    assert text == expected
 
 
 def test_continuum_report(tmp_path):

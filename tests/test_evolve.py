@@ -1,5 +1,9 @@
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from markov_flow import (
     RELATIVE_GINI,
@@ -9,13 +13,17 @@ from markov_flow import (
     default_time_grid,
     entropy_trace,
     evolve,
+    from_offdiagonal_rates,
     gini_divergence,
+    gini_production,
+    kl_divergence,
     lambda2,
     probability_vector,
     relative_f_kind,
     rk4_integrate,
+    shannon_entropy,
 )
-from markov_flow.errors import StepTooLarge
+from markov_flow.errors import Overflow, StepTooLarge
 from markov_flow.instances import shannon_nonmonotone, three_cycle, two_state
 
 from helpers import random_birth_death, random_generator, random_probability
@@ -47,18 +55,85 @@ def test_rk4_two_state_closed_form():
 def test_integrators_agree():
     rng = np.random.default_rng(3)
     worst = 0.0
-    for _ in range(15):
-        n = int(rng.integers(3, 9))
+    # n = 24 and 40 take the Taylor action on their short intervals
+    for size in [None] * 15 + [24, 40]:
+        n = size or int(rng.integers(3, 9))
         gen = random_generator(rng, n)
         p0 = random_probability(rng, n)
         rate = np.abs(np.diag(gen.q)).max()
         h = 0.02 / rate
         traj_rk = rk4_integrate(gen, p0, t_end=4.0 / rate, h=h)
-        picks = [0, len(traj_rk.times) // 3, -1]
+        picks = [0, len(traj_rk.times) // 10, len(traj_rk.times) // 3, -1]
         traj_ex = evolve(gen, p0, traj_rk.times[picks])
         for row, k in zip(traj_ex.states, picks):
             worst = max(worst, np.abs(row - traj_rk.states[k]).max())
     assert worst <= 1e-8, worst
+
+
+def count_expm(monkeypatch):
+    evolve_module = importlib.import_module("markov_flow.evolve")
+    calls = mock.Mock(wraps=evolve_module.expm)
+    monkeypatch.setattr(evolve_module, "expm", calls)
+    return calls
+
+
+@pytest.mark.parametrize("n", [20, 60, 120])
+def test_dense_chain_steps_match_per_point_expm(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    gen = random_generator(rng, n)
+    p0 = probability_vector(np.eye(n)[0])
+    t = np.concatenate([[0.0], np.geomspace(1e-3, 10.0 / lambda2(decompose(gen)), 199)])
+    expm_calls = count_expm(monkeypatch)
+    traj = evolve(gen, p0, t)
+    # every interval of a dense chain's 10/lambda2 grid is short in ||q||_1 h
+    assert expm_calls.call_count == 0
+    assert (traj.states[0] == p0.p).all()
+    for row, tk in zip(traj.states, t):
+        expected = scipy.linalg.expm(gen.q * tk) @ p0.p
+        assert np.abs(row - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [18, 40])
+def test_taylor_step_at_its_norm_limit(n, monkeypatch):
+    # one interval of ||q||_1 h just below n // 18: the action's substeps
+    # reach 1-norm 1, where 18 Taylor terms are needed for round-off
+    rng = np.random.default_rng(31)
+    gen = random_generator(rng, n)
+    p0 = probability_vector(np.eye(n)[0])
+    h = (n // 18) * (1.0 - 1e-12) / np.abs(gen.q).sum(axis=0).max()
+    expm_calls = count_expm(monkeypatch)
+    traj = evolve(gen, p0, [h])
+    assert expm_calls.call_count == 0
+    expected = scipy.linalg.expm(gen.q * h) @ p0.p
+    assert np.abs(traj.states[0] - expected).max() <= 1e-13
+
+
+def test_metastable_chain_takes_both_steps(monkeypatch):
+    # two dense 20-state clusters joined by one pair of 1e-3 rates:
+    # lambda2 ~ 1e-4, so the grid's late intervals are long in ||q||_1 h
+    rng = np.random.default_rng(23)
+    rates = np.zeros((40, 40))
+    rates[:20, :20] = rng.uniform(0.2, 2.0, (20, 20))
+    rates[20:, 20:] = rng.uniform(0.2, 2.0, (20, 20))
+    rates[20, 19] = rates[19, 20] = 1e-3
+    np.fill_diagonal(rates, 0.0)
+    gen = from_offdiagonal_rates(rates)
+    p0 = probability_vector(np.eye(40)[0])
+    lam2 = lambda2(decompose(gen))
+    assert 1e-5 < lam2 < 1e-3
+    t = np.geomspace(1e-3, 10.0 / lam2, 200)
+    expm_calls = count_expm(monkeypatch)
+    traj = evolve(gen, p0, t)
+    assert 0 < expm_calls.call_count < t.size
+    for row, tk in zip(traj.states, t):
+        expected = scipy.linalg.expm(gen.q * tk) @ p0.p
+        assert np.abs(row - expected).max() <= 1e-10
+    np.testing.assert_allclose(traj.states.sum(axis=1), 1.0, atol=1e-14)
+
+
+def test_overflowing_step_raises():
+    with pytest.raises(Overflow, match="finiteness invariant violated"):
+        evolve(three_cycle(), probability_vector([1.0, 0.0, 0.0]), [1e305])
 
 
 def test_rk4_conserves_probability():
@@ -113,6 +188,9 @@ def test_times_validation():
         evolve(gen, p0, [0.0, 2.0, 1.0])
     with pytest.raises(ValueError):
         evolve(gen, p0, [])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finiteness invariant violated"):
+            evolve(gen, p0, [0.0, bad])
 
 
 def test_evolve_rejects_size_mismatch():
@@ -203,6 +281,29 @@ def test_traces_custom_relative_f_kind_monotone():
     traj = entropy_trace(traj, decompose(gen), [kind])
     assert traj.monotone_violations["sq_dist"] is None
     assert traj.traces["sq_dist"].max() <= 1e-12
+
+
+def test_vectorized_traces_equal_per_row_functions():
+    rng = np.random.default_rng(29)
+    cases = [shannon_nonmonotone()]
+    for n, density in ((9, 0.3), (40, 0.15), (120, 1.0)):
+        gen = random_generator(rng, n, density=density)
+        cases.append((gen, probability_vector(np.eye(n)[0])))
+    for gen, p0 in cases:
+        d = decompose(gen)
+        times = np.concatenate([[0.0], np.geomspace(1e-4, 30.0, 150)])
+        traj = entropy_trace(evolve(gen, p0, times), d,
+                             [SHANNON, RELATIVE_SHANNON, RELATIVE_GINI])
+        rows = traj.states
+        for name, per_row in (
+            ("shannon", shannon_entropy),
+            ("kl", lambda row: kl_divergence(row, d.pi.p)),
+            ("gini_divergence", lambda row: gini_divergence(row, d.pi.p)),
+        ):
+            assert (traj.traces[name] == [per_row(row) for row in rows]).all(), name
+        production = np.array([gini_production(row, d) for row in rows])
+        scale = np.abs(production).max()
+        assert np.abs(traj.traces["gini_production"] - production).max() <= 1e-14 * scale
 
 
 def test_trajectory_is_immutable():
