@@ -69,23 +69,23 @@ class ProbabilityVector:
         return self.p.shape[0]
 
 
-def probability_vector(values, *, atol: float = PROBABILITY_ATOL) -> ProbabilityVector:
+def probability_vector(values) -> ProbabilityVector:
     """Validate and normalize a probability vector.
 
-    Entries below ``-atol`` or a total mass off by more than ``atol``
-    raise :class:`InvalidProbability`.  Round-off negatives are clipped
-    to zero and the vector is renormalized exactly.
+    Entries below ``-PROBABILITY_ATOL`` or a total mass off by more than
+    ``PROBABILITY_ATOL`` raise :class:`InvalidProbability`.  Round-off
+    negatives are clipped to zero and the vector is renormalized exactly.
     """
     p = np.array(values, dtype=float).reshape(-1)
     if p.size < 1:
         raise InvalidProbability("probability vector is empty")
-    if p.min() < -atol:
+    if p.min() < -PROBABILITY_ATOL:
         i = int(np.argmin(p))
         raise InvalidProbability(
             f"probability invariant violated: entry {i} is {p[i]:.3e} < 0"
         )
     total = p.sum()
-    if abs(total - 1.0) > atol:
+    if abs(total - 1.0) > PROBABILITY_ATOL:
         raise InvalidProbability(
             f"normalization invariant violated: entries sum to {total!r}, not 1"
         )

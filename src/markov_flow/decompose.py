@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeneratorMatrix, ProbabilityVector, probability_vector, validate_generator
+from .core import GeneratorMatrix, ProbabilityVector, from_offdiagonal_rates, probability_vector, validate_generator
 from .errors import (
     CycleCountWarning,
     InvalidFlow,
@@ -28,9 +28,11 @@ from .errors import (
     PositivityViolation,
     RowSumViolation,
 )
-from .stationary import stationary_solve
+from .stationary import stationary_solve, stationary_tree
 
 FLOW_RTOL = 1e-12
+# cycle peeling drops residual edges at or below this fraction of max|A|
+CYCLE_DUST_RTOL = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,13 +204,12 @@ def compose(pi, S, A) -> GeneratorMatrix:
 def dual(gen: GeneratorMatrix) -> GeneratorMatrix:
     """Time-reversed chain: same stationary distribution, negated circulation.
 
-    Equivalent to composing ``(pi, S, -A)``; computed directly as
-    ``F^T @ diag(pi)^-1``, which is the same matrix without the
-    subtraction round-off.
+    The rates ``F^T @ diag(pi)^-1`` of ``(pi, S, -A)``, diagonal recomputed.
+    Each column divides by its ``pi_j``, so ``pi`` is GTH's (``stationary_tree``),
+    accurate relative to every entry, not only to ``max pi`` as LU's is.
     """
-    d = decompose(gen)
-    q = d.F.T / d.pi.p[np.newaxis, :]
-    return validate_generator(q)
+    pi = stationary_tree(gen).p
+    return from_offdiagonal_rates((gen.q * pi).T / pi)
 
 
 @dataclass(frozen=True)
@@ -219,10 +220,10 @@ class DetailedBalanceReport:
     flow_scale: float             # max|F|, the reference scale
 
 
-def is_detailed_balance(gen: GeneratorMatrix, tol: float = 1e-12) -> DetailedBalanceReport:
+def is_detailed_balance(gen: GeneratorMatrix) -> DetailedBalanceReport:
     """Check reversibility two ways: circulation norm and pairwise fluxes.
 
-    The chain is reported balanced iff ``max|A| <= tol * max|F|``.  The
+    The chain is reported balanced iff ``max|A| <= FLOW_RTOL * max|F|``.  The
     pairwise check ``q[i,j] pi_j == q[j,i] pi_i`` is computed from the
     generator directly; each circulation entry is exactly half the
     corresponding pairwise mismatch, so the two criteria must agree.
@@ -238,7 +239,7 @@ def is_detailed_balance(gen: GeneratorMatrix, tol: float = 1e-12) -> DetailedBal
             f"the pairwise flux mismatch {max_pair:.17g}"
         )
     return DetailedBalanceReport(
-        balanced=bool(max_a <= tol * scale),
+        balanced=bool(max_a <= FLOW_RTOL * scale),
         max_circulation=max_a,
         max_pairwise_violation=max_pair,
         flow_scale=scale,
@@ -260,15 +261,18 @@ def dof_report(n: int) -> dict:
     return report
 
 
-def cycle_decompose(A, *, rtol: float = 1e-15) -> CycleDecomposition:
+def cycle_decompose(A) -> CycleDecomposition:
     """Peel a circulation matrix into weighted directed cycles.
 
-    Greedy min-edge peeling on the positive part of ``A``: find a directed
-    cycle in the support of the residual flow (deterministic order —
-    lowest-index start node, depth-first with ascending neighbors),
-    subtract its minimum edge weight, repeat until the support is empty.
-    Superposing the recorded cycles (``+w`` forward, ``-w`` reverse)
-    reconstructs ``A`` exactly up to round-off dust below ``rtol * max|A|``.
+    Greedy min-edge peeling on the positive part of ``A`` (edge ``u -> v``
+    carries ``A[v, u]``) in one path-and-cycle walk (Ahuja, Magnanti & Orlin
+    1993, section 3.5): from each start node in ascending order, extend the
+    path to its last node's lowest successor; on closing a cycle, subtract
+    its minimum edge weight, delete edges left at or below
+    ``CYCLE_DUST_RTOL * max|A|`` and cut the path back to the cycle's first
+    node; pop a node that dust left without an out-edge.  The cycles come in
+    the order of a lowest-start, ascending-neighbor depth-first search
+    restarted after every peel, and superpose to ``A`` up to the dust.
 
     The result is not canonical — many exact superpositions exist — but it
     is reproducible.  A count above the circulation DOF ``(n-1)(n-2)/2``
@@ -291,20 +295,35 @@ def cycle_decompose(A, *, rtol: float = 1e-15) -> CycleDecomposition:
             f"balance invariant violated: worst net node flow {row_sums:.3g}"
         )
 
-    tiny = rtol * scale
-    # edge u -> v carries weight A[v, u] > 0
-    w = np.where(A > tiny, A, 0.0).T.copy()  # w[u, v] = weight of edge u -> v
+    tiny = CYCLE_DUST_RTOL * scale
+    # out[u]: successor v -> residual weight of u -> v, in ascending v; keys
+    # are only deleted, so the first is always the lowest remaining successor
+    out = [dict(zip(np.flatnonzero(col > tiny).tolist(), col[col > tiny].tolist()))
+           for col in A.T]
     cycles = []
-    while True:
-        nodes = _find_cycle(w)
-        if nodes is None:
-            break
-        edges = list(zip(nodes, nodes[1:] + nodes[:1]))
-        weight = min(w[u, v] for u, v in edges)
-        for u, v in edges:
-            left = w[u, v] - weight
-            w[u, v] = left if left > tiny else 0.0
-        cycles.append((tuple(nodes), float(weight)))
+    for start in range(n):
+        path, position = [start], {start: 0}
+        while path:
+            u = path[-1]
+            if not out[u]:
+                del position[path.pop()]
+                if path:
+                    del out[path[-1]][u]
+            elif (v := next(iter(out[u]))) not in position:
+                position[v] = len(path)
+                path.append(v)
+            else:
+                nodes = path[position[v]:]
+                edges = list(zip(nodes, nodes[1:] + nodes[:1]))
+                weight = min(out[a][b] for a, b in edges)
+                for a, b in edges:
+                    out[a][b] -= weight
+                    if out[a][b] <= tiny:
+                        del out[a][b]
+                cycles.append((tuple(nodes), weight))
+                for x in nodes[1:]:
+                    del position[x]
+                del path[position[v] + 1:]
 
     bound = (n - 1) * (n - 2) // 2
     if len(cycles) > bound:
@@ -313,32 +332,6 @@ def cycle_decompose(A, *, rtol: float = 1e-15) -> CycleDecomposition:
             CycleCountWarning,
         )
     return CycleDecomposition(cycles=tuple(cycles))
-
-
-def _find_cycle(w: np.ndarray):
-    """Lowest-index-first depth-first search for a directed cycle in the
-    support of ``w``; returns the node list or None."""
-    n = w.shape[0]
-    for start in range(n):
-        if not (w[start] > 0.0).any():
-            continue
-        stack = [start]
-        on_path = {start: 0}
-        iters = [iter(np.flatnonzero(w[start] > 0.0).tolist())]
-        while stack:
-            try:
-                nxt = next(iters[-1])
-            except StopIteration:
-                dead = stack.pop()
-                del on_path[dead]
-                iters.pop()
-                continue
-            if nxt in on_path:
-                return stack[on_path[nxt]:]
-            stack.append(nxt)
-            on_path[nxt] = len(stack) - 1
-            iters.append(iter(np.flatnonzero(w[nxt] > 0.0).tolist()))
-    return None
 
 
 def superpose_cycles(cycles: CycleDecomposition, n: int) -> np.ndarray:

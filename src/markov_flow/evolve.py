@@ -215,13 +215,17 @@ def default_time_grid(gen: GeneratorMatrix, points: int = 200,
     """Log-spaced grid reaching well past the relaxation time.
 
     ``t_max`` defaults to ``10/decay_rate`` when a decay rate (for example
-    the spectral gap) is supplied, else ``10/min|q_ii|``.
+    the spectral gap) is supplied, else ``10/min|q_ii|``; it must be > 0.
     """
     if t_max is None:
         if decay_rate is not None and decay_rate > 0:
             t_max = 10.0 / decay_rate
         else:
             t_max = 10.0 / np.abs(np.diag(gen.q)).min()
+    if not np.isfinite(t_max):
+        raise ValueError(f"finiteness invariant violated: t_max = {float(t_max)!r}")
+    if t_max <= 0.0:
+        raise ValueError(f"t_max must be > 0, got {float(t_max)!r}")
     return np.geomspace(t_max / 1000.0, t_max, points)
 
 

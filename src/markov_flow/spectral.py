@@ -179,14 +179,13 @@ class BoundReport:
     projection_error: float       # max | <sqrt(pi), p/sqrt(pi)-sqrt(pi)> |
 
 
-def verify_bound(traj: Trajectory, sb: SpectralBound,
-                 *, rtol: float = BOUND_RTOL) -> BoundReport:
+def verify_bound(traj: Trajectory, sb: SpectralBound) -> BoundReport:
     """Check the spectral decay bound along a trajectory of the same chain.
 
     ``sb`` is the chain's :func:`spectral_bound`, so a caller that already
     has the spectrum does not compute it again.  Raises
     :class:`BoundViolated` if ``D(p(t))`` exceeds ``D(p0) exp(-lam2 t)`` by
-    more than ``rtol`` anywhere — the bound is proven, so a violation means
+    more than ``BOUND_RTOL`` anywhere — the bound is proven, so a violation means
     the trajectory and spectral bound do not belong to the same generator
     or something is broken.  The sharper ``2 lam2`` rate is not asserted,
     only counted.
@@ -212,7 +211,7 @@ def verify_bound(traj: Trajectory, sb: SpectralBound,
     # once both curves sit at round-off dust the ratio is meaningless:
     # equilibrium divergence values are O(eps^2/pi), far below this floor
     dust = 1e-13 * max(1.0, d0)
-    violations = (div > bound * (1.0 + rtol)) & (div > dust)
+    violations = (div > bound * (1.0 + BOUND_RTOL)) & (div > dust)
     if violations.any():
         worst = int(np.argmax(np.where(violations, ratio, 0.0)))
         raise BoundViolated(
@@ -220,7 +219,7 @@ def verify_bound(traj: Trajectory, sb: SpectralBound,
             f"D = {div[worst]:.6g} > bound {bound[worst]:.6g} "
             f"(ratio {ratio[worst]:.9g})"
         )
-    sharp_violations = int(((div > sharp * (1.0 + rtol)) & (div > dust)).sum())
+    sharp_violations = int(((div > sharp * (1.0 + BOUND_RTOL)) & (div > dust)).sum())
 
     shifted = traj.states / root[np.newaxis, :] - root[np.newaxis, :]
     norm_err = float(np.abs((shifted * shifted).sum(axis=1) - div).max())

@@ -7,6 +7,8 @@ state reduction (Oper. Res. 33(5), 1985), which computes the spanning-tree
 weights of the Markov chain tree theorem by censoring one state at a time,
 subtraction-free and in O(n^3).  It shares no linear-algebra code with the
 solver, which is what makes the cross-check in the test suite meaningful.
+GTH also gives ``dual`` its ``pi``: the dual divides by every ``pi_j``, and GTH
+is accurate relative to each entry, LU only relative to ``max pi``.
 """
 
 from __future__ import annotations

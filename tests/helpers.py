@@ -70,3 +70,53 @@ def random_circulation(rng, n, n_cycles):
             a[u, v] -= weight
         cycles.append((tuple(int(x) for x in nodes), weight))
     return a, cycles
+
+
+def dfs_cycle_peel(A, dust_rtol):
+    """Reference cycle peeler: restart a depth-first search for every cycle.
+
+    Greedy min-edge peeling on the positive part of ``A`` (edge ``u -> v``
+    carries ``A[v, u]``): search for a directed cycle from the lowest start
+    node with an out-edge, depth first with ascending neighbors, subtract
+    its minimum edge weight, zero the edges left at or below
+    ``dust_rtol * max|A|`` and search again from scratch.  Slow but
+    obviously greedy; the production walk must return the same list.
+    """
+    A = np.asarray(A, dtype=float)
+    tiny = dust_rtol * np.abs(A).max()
+    w = np.where(A > tiny, A, 0.0).T.copy()  # w[u, v] = weight of edge u -> v
+    cycles = []
+    while True:
+        nodes = _find_cycle(w)
+        if nodes is None:
+            return cycles
+        edges = list(zip(nodes, nodes[1:] + nodes[:1]))
+        weight = min(w[u, v] for u, v in edges)
+        for u, v in edges:
+            left = w[u, v] - weight
+            w[u, v] = left if left > tiny else 0.0
+        cycles.append((tuple(nodes), float(weight)))
+
+
+def _find_cycle(w):
+    """Lowest-index-first depth-first search for a directed cycle in the
+    support of ``w``; returns the node list or None."""
+    for start in range(w.shape[0]):
+        if not (w[start] > 0.0).any():
+            continue
+        stack = [start]
+        on_path = {start: 0}
+        iters = [iter(np.flatnonzero(w[start] > 0.0).tolist())]
+        while stack:
+            try:
+                nxt = next(iters[-1])
+            except StopIteration:
+                del on_path[stack.pop()]
+                iters.pop()
+                continue
+            if nxt in on_path:
+                return stack[on_path[nxt]:]
+            stack.append(nxt)
+            on_path[nxt] = len(stack) - 1
+            iters.append(iter(np.flatnonzero(w[nxt] > 0.0).tolist()))
+    return None

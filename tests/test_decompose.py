@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,11 @@ from markov_flow import (
     validate_generator,
 )
 from markov_flow.core import ProbabilityVector
-from markov_flow.decompose import FlowDecomposition, _check_flow_invariants
-from markov_flow.errors import InvalidFlow, NotAntisymmetric, NotBalanced
+from markov_flow.decompose import CYCLE_DUST_RTOL, FlowDecomposition, _check_flow_invariants
+from markov_flow.errors import CycleCountWarning, InvalidFlow, NotAntisymmetric, NotBalanced
 
 from helpers import (
+    dfs_cycle_peel,
     random_birth_death,
     random_circulation,
     random_generator,
@@ -155,10 +158,25 @@ def test_roundtrip_on_wide_rates(gen):
     assert np.abs(back.q - gen.q).max() <= 1e-12 * np.abs(gen.q).max()
 
 
-def test_dual_of_reversible_chain_is_identity():
-    rng = np.random.default_rng(23)
-    gen = random_birth_death(rng, 6)
-    np.testing.assert_allclose(dual(gen).q, gen.q, atol=1e-13)
+def skewed_birth_death(up, down, n):
+    """Birth-death chain with one up-rate and one down-rate: pi_k ~ (up/down)^k."""
+    rates = np.zeros((n, n))
+    k = np.arange(n - 1)
+    rates[k + 1, k] = up
+    rates[k, k + 1] = down
+    return from_offdiagonal_rates(rates)
+
+
+@pytest.mark.parametrize(
+    "gen",
+    # min pi 1.3e-6 on the second: an LU pi divided entrywise misses it
+    [random_birth_death(np.random.default_rng(23), 6), skewed_birth_death(0.65, 1.0, 30)],
+    ids=["random-6", "skewed-30"],
+)
+def test_dual_of_reversible_chain_is_identity(gen):
+    star = dual(gen)
+    np.testing.assert_allclose(star.q, gen.q, atol=1e-13)
+    assert np.abs(dual(star).q - gen.q).max() <= 1e-12 * np.abs(gen.q).max()
 
 
 def test_dual_of_three_cycle_reverses_it():
@@ -279,3 +297,30 @@ def test_cycle_decompose_is_deterministic():
     first = cycle_decompose(a)
     second = cycle_decompose(a.copy())
     assert first.cycles == second.cycles
+
+
+def _chains_3_to_40():
+    rng = np.random.default_rng(59)
+    return [decompose(random_generator(rng, n, density)).A
+            for n in range(3, 41) for density in (1.0, 0.2)]
+
+
+def _dense_120():
+    return [decompose(random_generator(np.random.default_rng(61), 120)).A]
+
+
+def _circulations():
+    rng = np.random.default_rng(67)
+    return [random_circulation(rng, int(rng.integers(3, 13)), int(rng.integers(1, 7)))[0]
+            for _ in range(50)]
+
+
+@pytest.mark.parametrize("build", [_chains_3_to_40, _dense_120, _circulations],
+                         ids=["chains-3-40", "dense-120", "circulations"])
+def test_cycle_walk_matches_dfs_reference(build):
+    # same cycles, same order, bit-identical weights as restarting the search
+    for a in build():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CycleCountWarning)
+            walked = cycle_decompose(a).cycles
+        assert walked == tuple(dfs_cycle_peel(a, CYCLE_DUST_RTOL))

@@ -235,6 +235,13 @@ def test_default_time_grid():
     np.testing.assert_allclose(grid3[-1], 7.0)
 
 
+@pytest.mark.parametrize("t_max", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_default_time_grid_rejects_bad_t_max(t_max):
+    message = "finiteness invariant" if not np.isfinite(t_max) else "t_max must be > 0"
+    with pytest.raises(ValueError, match=message):
+        default_time_grid(two_state(), points=10, t_max=t_max)
+
+
 def test_traces_detailed_balance_chain_kl_monotone():
     rng = np.random.default_rng(13)
     gen = random_birth_death(rng, 5)
