@@ -18,6 +18,7 @@ import numpy as np
 
 from . import instances
 from .core import (
+    as_dense,
     generator_from_json,
     generator_to_json,
     probability_from_json,
@@ -72,7 +73,8 @@ def _matrix_from_json(obj, *keys):
 
 
 def _decomposition_json(d) -> dict:
-    return {"pi": d.pi.p.tolist(), "S": d.S.tolist(), "A": d.A.tolist()}
+    return {"pi": d.pi.p.tolist(), "S": as_dense(d.S).tolist(),
+            "A": as_dense(d.A).tolist()}
 
 
 def _emit_trajectory_csv(traj, output: str | None):

@@ -12,7 +12,10 @@ fluxes ``(D+G)(rho grad(phi) + grad(rho))`` are built on cell faces from
 central differences, boundaries reflect (zero flux, so probability is
 conserved exactly), and the face fluxes assemble into a rate matrix whose
 columns sum to zero by construction.  One array stencil assembles all x
-faces at once; the y faces are the x faces of the transposed fields.
+faces at once; the y faces are the x faces of the transposed fields.  The
+rate matrix is CSR: a cell exchanges flux with at most eight neighbours,
+so a level stores O(n) numbers, and the stationary solve, the flow split and
+the adjointness report all run on the sparse matrices.
 Negative off-diagonal rates — the classic failure of central schemes when
 advection beats diffusion on a coarse grid — are clipped to zero; the
 clipped mass is reported and a fraction above 1% of the total off-diagonal
@@ -27,6 +30,8 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import norm as sparse_norm
 
 from .core import GeneratorMatrix, ProbabilityVector, from_offdiagonal_rates
 from .decompose import FlowDecomposition, decompose
@@ -35,7 +40,7 @@ from .stationary import stationary_solve
 
 log = logging.getLogger(__name__)
 
-MAX_CELLS = 8192          # dense matrices past this are pointless
+MAX_CELLS = 65536         # one level this size: ~7 s and ~0.3 GB on one core
 MAX_PHI_RANGE = 700.0     # exp() underflow guard
 CLIP_FRACTION_LIMIT = 0.01
 
@@ -108,7 +113,7 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
         raise ValueError(f"grid must be at least 4x4, got {nx}x{ny}")
     if nx * ny > MAX_CELLS:
         raise TooLarge(
-            f"{nx}x{ny} grid has {nx * ny} cells; dense handling is capped "
+            f"{nx}x{ny} grid has {nx * ny} cells; the discretization is capped "
             f"at {MAX_CELLS}"
         )
 
@@ -218,8 +223,9 @@ def discretize_fpe(problem: FpeProblem) -> GeneratorMatrix:
     return gen
 
 
-def _add_face_fluxes(L, phi, d_nn, d_nt, g_nt, ids, h_n, h_t):
-    """Add the fluxes through every face normal to the fields' first axis.
+def _face_fluxes(phi, d_nn, d_nt, g_nt, ids, h_n, h_t):
+    """The fluxes through every face normal to the fields' first axis, as
+    ``(rows, cols, values)`` rate updates.
 
     Fields are indexed (normal, transverse).  ``d_nn`` and ``d_nt`` are
     the normal-normal and normal-transverse entries of ``D`` and ``g_nt``
@@ -228,7 +234,7 @@ def _add_face_fluxes(L, phi, d_nn, d_nt, g_nt, ids, h_n, h_t):
     the normal and transverse spacings.  The transverse gradient is a
     central difference clamped at the walls.  The flux through the face
     between ``lo = [a, b]`` and ``hi = [a + 1, b]`` is added to ``lo``'s
-    row and taken from ``hi``'s, so every column of ``L`` keeps a zero sum.
+    row and taken from ``hi``'s, so every column keeps a zero sum.
     """
     k = np.arange(phi.shape[1])
     up, dn = np.minimum(k + 1, k[-1]), np.maximum(k - 1, 0)
@@ -244,39 +250,47 @@ def _add_face_fluxes(L, phi, d_nn, d_nt, g_nt, ids, h_n, h_t):
                        nn * (0.5 * dphi_n + 1.0 / h_n),
                        nt * 0.5 * dphi_t[:-1], w, -w,
                        nt * 0.5 * dphi_t[1:], w, -w], axis=-1) / h_n
-    # one update per (face, term, side), in that order, so each entry of L
-    # sums its terms face by face: a term goes to lo's row, then from hi's
+    # one update per (face, term, side), in that order, so each rate sums
+    # its terms face by face: a term goes to lo's row, then from hi's
     rows = np.stack([ids[:-1], ids[1:]], axis=-1)[:, :, np.newaxis, :]
     shape = cells.shape + (2,)
-    np.add.at(L, (np.broadcast_to(rows, shape),
-                  np.broadcast_to(cells[..., np.newaxis], shape)),
-              np.stack([coeffs, -coeffs], axis=-1))
+    return (np.broadcast_to(rows, shape).ravel(),
+            np.broadcast_to(cells[..., np.newaxis], shape).ravel(),
+            np.stack([coeffs, -coeffs], axis=-1).ravel())
 
 
 def discretize_fpe_detailed(problem: FpeProblem):
     """Assemble the finite-volume rate matrix and the clipping report.
 
-    Returns ``(generator, clip_report)``.  Raises
+    Returns ``(generator, clip_report)``; the generator is CSR.  The face
+    updates of each rate are summed in assembly order, so the rates are
+    those of the face-by-face loop to the last bit.  Raises
     :class:`ExcessiveClipping` when more than 1% of the off-diagonal flux
     magnitude had to be removed — the scheme is then too coarse for the
     advection strength and the detailed-balance structure would be
     distorted beyond the discretization error.
     """
     phi, dif, gam = problem.phi, problem.diffusion, problem.gamma
-    ids = np.arange(problem.n).reshape(problem.nx, problem.ny)
-    L = np.zeros((problem.n, problem.n))
+    n = problem.n
+    ids = np.arange(n).reshape(problem.nx, problem.ny)
     # x faces; the y faces are the x faces of the transposed fields, where
     # G's off-axis entry changes sign
-    _add_face_fluxes(L, phi, dif[..., 0, 0], dif[..., 0, 1], gam, ids,
-                     problem.hx, problem.hy)
-    _add_face_fluxes(L, phi.T, dif[..., 1, 1].T, dif[..., 1, 0].T, -gam.T,
-                     ids.T, problem.hy, problem.hx)
+    updates = zip(
+        _face_fluxes(phi, dif[..., 0, 0], dif[..., 0, 1], gam, ids,
+                     problem.hx, problem.hy),
+        _face_fluxes(phi.T, dif[..., 1, 1].T, dif[..., 1, 0].T, -gam.T,
+                     ids.T, problem.hy, problem.hx),
+    )
+    rows, cols, values = (np.concatenate(pair) for pair in updates)
+    off = rows != cols
+    keys, slot = np.unique(rows[off] * n + cols[off], return_inverse=True)
+    rates = np.zeros(keys.size)
+    np.add.at(rates, slot, values[off])
 
-    np.fill_diagonal(L, 0.0)
-    negatives = L < 0.0
+    negatives = rates < 0.0
     report = ClipReport(
-        clipped_total=float(np.abs(L[negatives]).sum()),
-        offdiag_total=float(np.abs(L).sum()),
+        clipped_total=float(np.abs(rates[negatives]).sum()),
+        offdiag_total=float(np.abs(rates).sum()),
         entries_clipped=int(negatives.sum()),
     )
     if report.entries_clipped:
@@ -290,8 +304,10 @@ def discretize_fpe_detailed(problem: FpeProblem):
             f"{CLIP_FRACTION_LIMIT:.0%}: refine the grid or reduce the "
             "advection strength"
         )
-    L[negatives] = 0.0
-    return from_offdiagonal_rates(L), report
+    rates[negatives] = 0.0
+    return from_offdiagonal_rates(
+        csr_array((rates, (keys // n, keys % n)), shape=(n, n))
+    ), report
 
 
 def polynomial_probes(problem: FpeProblem, seed: int = 0) -> np.ndarray:
@@ -351,16 +367,16 @@ def operator_symmetry_report(problem: FpeProblem,
     def residual(m, sign):
         """max over probe pairs of |<Mf, g> - sign <f, Mg>|, relative."""
         pairs = (f @ m.T) @ g.T - sign * (f @ (g @ m.T).T)
-        return float((np.abs(pairs) / fg).max()) / max(np.linalg.norm(m), 1e-300)
+        return float((np.abs(pairs) / fg).max()) / max(float(sparse_norm(m)), 1e-300)
 
     q_d = discretize_fpe(replace(problem, gamma=np.zeros_like(problem.gamma)))
     s_d = q_d.q * stationary_solve(q_d).p[np.newaxis, :]
-    l_norm = max(np.linalg.norm(d.F), 1e-300)
+    l_norm = max(float(sparse_norm(d.F)), 1e-300)
     return OperatorSymmetryReport(
         sym_residual=residual(d.S, 1.0),
         anti_residual=residual(d.A, -1.0),
-        mismatch=float(np.linalg.norm(d.S - s_d) / l_norm),
-        operator_norm=float(l_norm),
+        mismatch=float(sparse_norm(d.S - s_d)) / l_norm,
+        operator_norm=l_norm,
     )
 
 
@@ -373,21 +389,24 @@ def refinement_study(domain, grids, phi, diffusion="identity", gamma=0.0):
     residuals.  Consecutive L1 ratios near 4 per grid doubling are the
     second-order signature of the scheme.
     """
+    # every level's problem is built, and its size checked, before the
+    # first level is solved
+    problems = [fpe_problem(domain, grid, grid, phi, diffusion, gamma)
+                for grid in grids]
     levels = []
-    for grid in grids:
-        problem = fpe_problem(domain, grid, grid, phi, diffusion, gamma)
+    for grid, problem in zip(grids, problems):
         gen, clip = discretize_fpe_detailed(problem)
         gibbs = gibbs_distribution(problem)
         d = decompose(gen)
         l1 = float(np.abs(d.pi.p - gibbs.p).sum())
-        flow_scale = max(float(np.abs(d.F).max()), 1e-300)
+        flow_scale = max(float(abs(d.F).max()), 1e-300)
         ops = operator_symmetry_report(problem, d)
         levels.append({
             "grid": int(grid),
             "n": problem.n,
             "l1_error_gibbs": l1,
             "clip_fraction": clip.fraction,
-            "max_circulation_rel": float(np.abs(d.A).max()) / flow_scale,
+            "max_circulation_rel": float(abs(d.A).max()) / flow_scale,
             "sym_residual": ops.sym_residual,
             "anti_residual": ops.anti_residual,
             "mismatch": ops.mismatch,

@@ -7,6 +7,12 @@ column, and distributions evolve as ``dp/dt = q @ p``.  Row-convention
 input is accepted at the boundary and transposed once, so no other module
 ever has to think about orientation.
 
+A generator is a dense array or, on the continuum path, a CSR array
+(``scipy.sparse.csr_array``).  Validation, the stationary solve and the
+flow split run on either; every other consumer takes its operands through
+:func:`as_dense`, which densifies a CSR operand of at most
+``DENSE_MAX_STATES`` states and refuses a larger one.
+
 States are 0-indexed throughout.
 """
 
@@ -15,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_array, csr_array, csr_matrix, diags_array, issparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -23,30 +29,32 @@ from .errors import (
     InvalidProbability,
     NegativeRate,
     Reducible,
+    TooLarge,
 )
 
 # Validation tolerances, relative to max|q|: double-precision round-off scale.
 COLUMN_SUM_RTOL = 1e-12
 NEGATIVE_RATE_RTOL = 1e-12
 PROBABILITY_ATOL = 1e-12
+# the largest CSR operand a dense-only consumer densifies (512 MB per copy)
+DENSE_MAX_STATES = 8192
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """Validated transition-rate matrix in column convention.
 
-    Instances are immutable: the array is marked read-only after
-    construction and is safe to share between threads.  Build instances
-    through :func:`validate_generator` or :func:`from_offdiagonal_rates`;
-    direct construction skips validation.
+    ``q`` is a dense array or a CSR array.  Instances are immutable: the
+    array (a CSR array's values) is marked read-only after construction
+    and is safe to share between threads.  Build instances through
+    :func:`validate_generator` or :func:`from_offdiagonal_rates`; direct
+    construction skips validation.
     """
 
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        q.flags.writeable = False
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _frozen(self.q))
 
     @property
     def n(self) -> int:
@@ -67,6 +75,34 @@ class ProbabilityVector:
     @property
     def n(self) -> int:
         return self.p.shape[0]
+
+
+def _frozen(m):
+    """``m`` as a float array, or a canonical CSR array, marked read-only."""
+    if issparse(m):
+        m = csr_array(m, dtype=float, copy=True)
+        m.sum_duplicates()
+        m.data.flags.writeable = False
+    else:
+        m = np.asarray(m, dtype=float)
+        m.flags.writeable = False
+    return m
+
+
+def as_dense(m) -> np.ndarray:
+    """``m`` as a dense array, for the consumers that need one.
+
+    A dense ``m`` is returned as it is; a CSR ``m`` is densified, and one
+    with more than ``DENSE_MAX_STATES`` rows raises :class:`TooLarge`.
+    """
+    if not issparse(m):
+        return m
+    if m.shape[0] > DENSE_MAX_STATES:
+        raise TooLarge(
+            f"size invariant violated: a dense method needs the {m.shape[0]}-state "
+            f"sparse operand as an n x n array, capped at {DENSE_MAX_STATES} states"
+        )
+    return m.toarray()
 
 
 def probability_vector(values) -> ProbabilityVector:
@@ -94,22 +130,55 @@ def probability_vector(values) -> ProbabilityVector:
     return ProbabilityVector(p)
 
 
-def _support_classes(q: np.ndarray):
-    """Communicating classes of the directed support graph (edge u->v iff
-    rate u->v is positive), plus the set of closed classes."""
-    off = q.copy()
-    np.fill_diagonal(off, 0.0)
-    adjacency = (off.T > 0.0)
+def _support_classes(adjacency):
+    """Communicating classes of the directed support graph, plus the closed
+    ones.  ``adjacency`` is sparse, with an entry at ``[u, v]`` iff the rate
+    u->v is positive; a class is closed when no edge leaves it."""
     n_comp, labels = connected_components(
-        csr_matrix(adjacency), directed=True, connection="strong"
+        adjacency, directed=True, connection="strong"
     )
     classes = [sorted(np.flatnonzero(labels == c).tolist()) for c in range(n_comp)]
-    closed = []
-    for c, members in enumerate(classes):
-        outside = labels != c
-        if not adjacency[np.ix_(members, np.flatnonzero(outside))].any():
-            closed.append(members)
+    if n_comp == 1:
+        return classes, []
+    src, dst = adjacency.nonzero()
+    leaving = set(labels[src[labels[src] != labels[dst]]].tolist())
+    closed = [members for c, members in enumerate(classes) if c not in leaving]
     return classes, closed
+
+
+def _offdiagonal(q):
+    """The off-diagonal entries of a CSR ``q`` as ``(rows, cols, values)``."""
+    c = coo_array(q)
+    keep = c.row != c.col
+    return c.row[keep], c.col[keep], c.data[keep]
+
+
+def _least_offdiagonal(m):
+    """``(value, i, j)`` of the least off-diagonal entry of ``m``, dense or
+    CSR; the entries a CSR ``m`` does not store count as zeros."""
+    if issparse(m):
+        rows, cols, vals = _offdiagonal(m)
+        k = int(np.argmin(vals)) if vals.size else None
+        if k is None or vals[k] > 0.0:
+            return 0.0, 0, 0
+        return float(vals[k]), int(rows[k]), int(cols[k])
+    off = m.copy()
+    np.fill_diagonal(off, 0.0)
+    k = int(off.argmin())
+    i, j = divmod(k, off.shape[1])
+    return float(off.flat[k]), i, j
+
+
+def _support(q):
+    """Sparse adjacency of the positive-rate graph: ``[u, v]`` iff q[v, u] > 0."""
+    if issparse(q):
+        rows, cols, vals = _offdiagonal(q)
+        positive = vals > 0.0
+        return csr_array((np.ones(positive.sum()), (cols[positive], rows[positive])),
+                         shape=q.shape)
+    off = q.copy()
+    np.fill_diagonal(off, 0.0)
+    return csr_matrix(off.T > 0.0)
 
 
 def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
@@ -117,9 +186,9 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
 
     Parameters
     ----------
-    raw : array_like, shape (n, n)
+    raw : array_like or CSR array, shape (n, n)
         Candidate generator.  With ``convention="row"`` the input is
-        transposed before any check runs.
+        transposed before any check runs.  A CSR input gives a CSR generator.
     convention : {"column", "row"}
 
     Raises
@@ -130,25 +199,26 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
         accepted matrices always have a unique, strictly positive
         stationary distribution.
     """
-    q = np.array(raw, dtype=float)
+    sparse = issparse(raw)
+    if sparse:
+        q = csr_array(raw, dtype=float, copy=True)
+        q.sum_duplicates()
+    else:
+        q = np.array(raw, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"generator must be square, got shape {q.shape}")
     n = q.shape[0]
     if n < 2:
         raise ValueError(f"generator needs at least 2 states, got n={n}")
     if convention == "row":
-        q = np.ascontiguousarray(q.T)
+        q = q.T.tocsr() if sparse else np.ascontiguousarray(q.T)
     elif convention != "column":
         raise ValueError(f"unknown convention {convention!r}; use 'column' or 'row'")
 
-    scale = np.abs(q).max()
-    off = q.copy()
-    np.fill_diagonal(off, 0.0)
-    if off.min() < -NEGATIVE_RATE_RTOL * scale:
-        i, j = np.unravel_index(np.argmin(off), off.shape)
-        raise NegativeRate(
-            f"rate invariant violated: q[{i},{j}] = {q[i, j]:.6g} < 0"
-        )
+    scale = abs(q).max()
+    least, i, j = _least_offdiagonal(q)
+    if least < -NEGATIVE_RATE_RTOL * scale:
+        raise NegativeRate(f"rate invariant violated: q[{i},{j}] = {least:.6g} < 0")
     col_sums = q.sum(axis=0)
     worst = int(np.argmax(np.abs(col_sums)))
     if abs(col_sums[worst]) > COLUMN_SUM_RTOL * scale:
@@ -156,7 +226,7 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
             f"column-sum invariant violated: column {worst} sums to "
             f"{col_sums[worst]:.6g} (tolerance {COLUMN_SUM_RTOL * scale:.3g})"
         )
-    classes, closed = _support_classes(q)
+    classes, closed = _support_classes(_support(q))
     if len(classes) > 1:
         raise Reducible(
             "irreducibility invariant violated: "
@@ -171,18 +241,34 @@ def from_offdiagonal_rates(rates) -> GeneratorMatrix:
     """Build a generator from off-diagonal rates, ignoring the diagonal.
 
     The diagonal is overwritten with minus the column sums, so the result
-    conserves probability exactly, then the full validation runs.
+    conserves probability exactly, then the full validation runs.  CSR
+    ``rates`` give a CSR generator; each column sum adds the column's rates
+    in ascending row order, as numpy's dense column sum does, so a CSR and
+    a dense copy of the same rates give the same generator bit for bit.
     """
-    r = np.array(rates, dtype=float)
+    sparse = issparse(rates)
+    if sparse:
+        r = csr_array(rates, dtype=float, copy=True)
+        r.sum_duplicates()
+    else:
+        r = np.array(rates, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"rate matrix must be square, got shape {r.shape}")
-    np.fill_diagonal(r, 0.0)
-    scale = np.abs(r).max()
-    if r.min() < -NEGATIVE_RATE_RTOL * scale:
-        i, j = np.unravel_index(np.argmin(r), r.shape)
-        raise NegativeRate(
-            f"rate invariant violated: rate[{i},{j}] = {r[i, j]:.6g} < 0"
-        )
+    if sparse:
+        rows, cols, vals = _offdiagonal(r)
+        r = csr_array((vals, (rows, cols)), shape=r.shape)
+    else:
+        np.fill_diagonal(r, 0.0)
+    scale = abs(r).max()
+    least, i, j = _least_offdiagonal(r)
+    if least < -NEGATIVE_RATE_RTOL * scale:
+        raise NegativeRate(f"rate invariant violated: rate[{i},{j}] = {least:.6g} < 0")
+    if sparse:
+        r.data[r.data < 0.0] = 0.0
+        r.eliminate_zeros()
+        col_sums = np.zeros(r.shape[0])
+        np.add.at(col_sums, r.indices, r.data)   # CSR order: ascending rows
+        return validate_generator(r - diags_array(col_sums))
     r = np.clip(r, 0.0, None)
     np.fill_diagonal(r, -r.sum(axis=0))
     return validate_generator(r)
@@ -211,7 +297,7 @@ def generator_from_json(obj: dict) -> GeneratorMatrix:
 
 
 def generator_to_json(gen: GeneratorMatrix) -> dict:
-    return {"n": gen.n, "convention": "column", "q": gen.q.tolist()}
+    return {"n": gen.n, "convention": "column", "q": as_dense(gen.q).tolist()}
 
 
 def probability_from_json(obj) -> ProbabilityVector:

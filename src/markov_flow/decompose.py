@@ -8,6 +8,10 @@ triple ``(pi, S, A)`` determines the generator exactly via
 ``q = (S + A) @ diag(pi)^-1`` and separates three independent degree-of-
 freedom budgets: ``n-1`` for ``pi``, ``n(n-1)/2`` for ``S`` and
 ``(n-1)(n-2)/2`` for ``A``.
+
+A CSR generator gives CSR ``F``, ``S`` and ``A``; the invariants are checked
+on them as they are.  The other operations here take their operands through
+``as_dense``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeneratorMatrix, ProbabilityVector, from_offdiagonal_rates, probability_vector, validate_generator
+from .core import (
+    GeneratorMatrix,
+    ProbabilityVector,
+    _frozen,
+    _least_offdiagonal,
+    as_dense,
+    from_offdiagonal_rates,
+    probability_vector,
+    validate_generator,
+)
 from .errors import (
     CycleCountWarning,
     InvalidFlow,
@@ -42,8 +55,9 @@ class FlowDecomposition:
     ``F = S + A`` holds exactly by construction; ``S`` is symmetric
     negative semidefinite with zero row sums, ``A`` is antisymmetric with
     zero row sums, and off-diagonal entries of ``F`` are nonnegative.
-    Instances produced by :func:`decompose` satisfy all invariants; direct
-    construction is unchecked.
+    The parts are dense or CSR, as the generator was.  Instances produced by
+    :func:`decompose` satisfy all invariants; direct construction is
+    unchecked.
     """
 
     pi: ProbabilityVector
@@ -53,9 +67,7 @@ class FlowDecomposition:
 
     def __post_init__(self):
         for name in ("F", "S", "A"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -87,14 +99,12 @@ def decompose(gen: GeneratorMatrix) -> FlowDecomposition:
 
 def _check_flow_invariants(d: FlowDecomposition):
     F, S, A = d.F, d.S, d.A
-    scale = max(np.abs(F).max(), 1e-300)
+    scale = max(abs(F).max(), 1e-300)
     tol = FLOW_RTOL * scale
-    off = F.copy()
-    np.fill_diagonal(off, 0.0)
-    if off.min() < -tol:
-        i, j = np.unravel_index(np.argmin(off), off.shape)
+    least, i, j = _least_offdiagonal(F)
+    if least < -tol:
         raise InvalidFlow(
-            f"flow invariant violated: F[{i},{j}] = {F[i, j]:.3g} < 0"
+            f"flow invariant violated: F[{i},{j}] = {least:.3g} < 0"
         )
     for name, m in (("F", F), ("S", S), ("A", A)):
         worst_row = np.abs(m.sum(axis=1)).max()
@@ -105,17 +115,16 @@ def _check_flow_invariants(d: FlowDecomposition):
                 f"{max(worst_row, worst_col):.3g} exceeds {tol:.3g}"
             )
     # antisymmetry puts all of F's diagonal in S
-    if np.abs(np.diag(A)).max() != 0.0:
+    if np.abs(A.diagonal()).max() != 0.0:
         raise NotAntisymmetric(
             "antisymmetry invariant violated: A has a nonzero diagonal"
         )
     # Gershgorin: symmetric + zero row sums + nonnegative off-diagonals
     # pins every eigenvalue of S in [2*min(diag), 0]
-    s_off = S.copy()
-    np.fill_diagonal(s_off, 0.0)
-    if s_off.min() < -tol:
+    least, _, _ = _least_offdiagonal(S)
+    if least < -tol:
         raise InvalidFlow(
-            f"symmetric-flow positivity violated: min off-diagonal S {s_off.min():.3g}"
+            f"symmetric-flow positivity violated: min off-diagonal S {least:.3g}"
         )
 
 
@@ -146,8 +155,8 @@ def compose(pi, S, A) -> GeneratorMatrix:
         raise PositivityViolation(
             f"stationary positivity violated: pi[{i}] = {pi.p[i]:.3g} <= 0"
         )
-    S = np.asarray(S, dtype=float)
-    A = np.asarray(A, dtype=float)
+    S = np.asarray(as_dense(S), dtype=float)
+    A = np.asarray(as_dense(A), dtype=float)
     n = pi.n
     if S.shape != (n, n) or A.shape != (n, n):
         raise ValueError(
@@ -209,7 +218,7 @@ def dual(gen: GeneratorMatrix) -> GeneratorMatrix:
     accurate relative to every entry, not only to ``max pi`` as LU's is.
     """
     pi = stationary_tree(gen).p
-    return from_offdiagonal_rates((gen.q * pi).T / pi)
+    return from_offdiagonal_rates((as_dense(gen.q) * pi).T / pi)
 
 
 @dataclass(frozen=True)
@@ -229,10 +238,9 @@ def is_detailed_balance(gen: GeneratorMatrix) -> DetailedBalanceReport:
     corresponding pairwise mismatch, so the two criteria must agree.
     """
     d = decompose(gen)
-    max_a = float(np.abs(d.A).max())
-    pairwise = np.abs(d.F - d.F.T)
-    max_pair = float(pairwise.max())
-    scale = float(np.abs(d.F).max())
+    max_a = float(abs(d.A).max())
+    max_pair = float(abs(d.F - d.F.T).max())
+    scale = float(abs(d.F).max())
     if abs(max_a - max_pair / 2.0) > 1e-15 * max(scale, 1.0):
         raise NotAntisymmetric(
             f"antisymmetry invariant violated: max|A| = {max_a:.17g} is not half "
@@ -278,11 +286,16 @@ def cycle_decompose(A) -> CycleDecomposition:
     is reproducible.  A count above the circulation DOF ``(n-1)(n-2)/2``
     triggers :class:`CycleCountWarning`, not an error.
     """
-    A = np.asarray(A, dtype=float)
+    A = np.asarray(as_dense(A), dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"circulation must be square, got shape {A.shape}")
     n = A.shape[0]
     scale = np.abs(A).max()
+    if not np.isfinite(scale):
+        raise MarkovFlowError(
+            f"finiteness invariant violated: the circulation has entries of "
+            f"magnitude {scale!r}"
+        )
     if scale == 0.0:
         return CycleDecomposition(cycles=())
     if np.abs(A + A.T).max() > 1e-12 * scale:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ProbabilityVector
+from .core import ProbabilityVector, as_dense
 from .decompose import FlowDecomposition
 from .errors import NotAntisymmetric, PositivityViolation
 
@@ -125,7 +125,7 @@ def gini_divergence_rows(states: np.ndarray, pi: np.ndarray) -> np.ndarray:
 def gini_production(p, d: FlowDecomposition) -> float:
     """Time derivative of the quadratic divergence: ``2 r^T S r <= 0``."""
     r = _as_prob_array(p) / d.pi.p
-    return float(2.0 * r @ d.S @ r)
+    return float(2.0 * r @ as_dense(d.S) @ r)
 
 
 def production_split(p, d: FlowDecomposition) -> dict:
@@ -136,9 +136,10 @@ def production_split(p, d: FlowDecomposition) -> dict:
     computed and checked rather than assumed (:class:`NotAntisymmetric`).
     """
     r = _as_prob_array(p) / d.pi.p
-    s_part = float(2.0 * r @ d.S @ r)
-    a_part = float(2.0 * r @ d.A @ r)
-    a_scale = np.linalg.norm(d.A) * float(r @ r)
+    S, A = as_dense(d.S), as_dense(d.A)
+    s_part = float(2.0 * r @ S @ r)
+    a_part = float(2.0 * r @ A @ r)
+    a_scale = np.linalg.norm(A) * float(r @ r)
     if abs(a_part) > PRODUCTION_SPLIT_RTOL * max(a_scale, 1e-300):
         raise NotAntisymmetric(
             f"antisymmetric quadratic-form invariant violated: circulation "
@@ -165,8 +166,8 @@ def shannon_production_split(p, d: FlowDecomposition) -> dict:
     r = arr / d.pi.p
     weight = 1.0 + np.log(r)
     return {
-        "s_part": float(-(d.S @ r) @ weight),
-        "a_part": float(-(d.A @ r) @ weight),
+        "s_part": float(-(as_dense(d.S) @ r) @ weight),
+        "a_part": float(-(as_dense(d.A) @ r) @ weight),
     }
 
 

@@ -31,8 +31,10 @@ class SingularBeyondNullity(MarkovFlowError):
 
 
 class TooLarge(MarkovFlowError):
-    """Input exceeds the size supported by a dense method: the continuum
-    discretization's cap on the number of cells."""
+    """Input exceeds a size cap: a continuum grid with more than
+    ``continuum.MAX_CELLS`` cells, or a sparse operand with more than
+    ``core.DENSE_MAX_STATES`` states passed to a method that needs it
+    dense."""
 
 
 class InvalidFlow(MarkovFlowError):

@@ -37,7 +37,7 @@ from typing import Iterable
 import numpy as np
 from scipy.linalg import expm
 
-from .core import GeneratorMatrix, ProbabilityVector
+from .core import GeneratorMatrix, ProbabilityVector, as_dense
 from .decompose import FlowDecomposition
 from .entropy import (
     EntropyKind,
@@ -148,7 +148,7 @@ def evolve(gen: GeneratorMatrix, p0: ProbabilityVector, times) -> Trajectory:
             f"has {gen.n} states"
         )
     t = _checked_times(times)
-    q = gen.q
+    q = as_dense(gen.q)
     q_norm = np.abs(q).sum(axis=0).max()
     # 18 s <= n  iff  ||q||_1 h <= n // 18: tested without ceil(), which
     # raises on an infinite ||q||_1 h
@@ -182,7 +182,7 @@ def rk4_integrate(gen: GeneratorMatrix, p0: ProbabilityVector,
     Used in tests and cross-checks as the integrator that shares no code
     with :func:`evolve`.  The step must satisfy ``h <= 0.1/max|q_ii|``.
     """
-    max_diag = np.abs(np.diag(gen.q)).max()
+    max_diag = np.abs(gen.q.diagonal()).max()
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h!r}")
     if h > 0.1 / max_diag:
@@ -192,7 +192,7 @@ def rk4_integrate(gen: GeneratorMatrix, p0: ProbabilityVector,
         )
     steps = max(1, math.ceil(t_end / h))
     h_eff = t_end / steps
-    q = gen.q
+    q = as_dense(gen.q)
     raw = np.empty((steps + 1, gen.n))
     raw[0] = p0.p
     p = p0.p.copy()
@@ -221,7 +221,7 @@ def default_time_grid(gen: GeneratorMatrix, points: int = 200,
         if decay_rate is not None and decay_rate > 0:
             t_max = 10.0 / decay_rate
         else:
-            t_max = 10.0 / np.abs(np.diag(gen.q)).min()
+            t_max = 10.0 / np.abs(gen.q.diagonal()).min()
     if not np.isfinite(t_max):
         raise ValueError(f"finiteness invariant violated: t_max = {float(t_max)!r}")
     if t_max <= 0.0:
@@ -280,7 +280,7 @@ def entropy_trace(traj: Trajectory, d: FlowDecomposition,
             traces[kind.trace_name] = series
             flags[kind.trace_name] = _first_shift(series, +1, MONOTONE_TOL)
             r = rows / pi
-            traces["gini_production"] = 2.0 * np.einsum("ij,ij->i", r @ d.S, r)
+            traces["gini_production"] = 2.0 * np.einsum("ij,ij->i", r @ as_dense(d.S), r)
         else:  # relative_f
             series = np.array(
                 [relative_f_entropy(row, pi, kind.f) for row in rows]

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import as_dense
 from .decompose import FlowDecomposition
 from .entropy import gini_divergence_rows
 from .errors import (
@@ -79,7 +80,7 @@ def build_G(d: FlowDecomposition) -> np.ndarray:
             f"stationary positivity violated: pi[{i}] = {pi[i]:.3g} <= 0"
         )
     root = np.sqrt(pi)
-    G = d.S / (root[:, np.newaxis] * root[np.newaxis, :])
+    G = as_dense(d.S) / (root[:, np.newaxis] * root[np.newaxis, :])
     scale = max(np.abs(G).max(), 1e-300)
     asym = np.abs(G - G.T).max()
     if asym > 1e-12 * scale:

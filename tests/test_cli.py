@@ -209,6 +209,29 @@ def test_continuum_report(tmp_path):
         assert level["sym_residual"] <= 1e-12
 
 
+def test_continuum_report_is_byte_identical(tmp_path):
+    problem = tmp_path / "fpe.json"
+    write_json(problem, {"domain": [[-2, 2], [-2, 2]], "gamma": 0.5})
+    outputs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outputs:
+        assert main(["continuum", "--problem", str(problem), "--grid", "8",
+                     "--refine", "3", "--output", str(out)]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
+def test_over_cap_refinement_exits_before_any_level(tmp_path, capsys):
+    # grids 64, 128, 256 and 512: the last is past the cell cap, and the
+    # study refuses it before it assembles the first level
+    problem = tmp_path / "fpe.json"
+    write_json(problem, {"gamma": 0.5})
+    with mock.patch("markov_flow.continuum.discretize_fpe_detailed") as assemble:
+        code = main(["continuum", "--problem", str(problem), "--grid", "64",
+                     "--refine", "4"])
+    assert code == 2
+    assert assemble.call_count == 0
+    assert "512x512 grid has 262144 cells" in capsys.readouterr().err
+
+
 def test_demo_outputs_are_deterministic(tmp_path):
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"

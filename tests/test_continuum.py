@@ -1,24 +1,41 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 from markov_flow import (
+    RELATIVE_GINI,
+    RELATIVE_SHANNON,
+    SHANNON,
+    GeneratorMatrix,
+    cycle_decompose,
     decompose,
     discretize_fpe,
     discretize_fpe_detailed,
+    dual,
+    entropy_trace,
     evolve,
     fpe_problem,
     from_offdiagonal_rates,
     gibbs_distribution,
+    gini_divergence,
+    gini_production,
     is_detailed_balance,
+    kl_divergence,
     lambda2,
     operator_symmetry_report,
     probability_vector,
+    production_split,
     recompose,
     refinement_study,
+    shannon_production_split,
     spectral_bound,
     stationary_solve,
+    superpose_cycles,
     verify_bound,
 )
+from markov_flow.decompose import FlowDecomposition
 from markov_flow.errors import ExcessiveClipping, Overflow, TooLarge
 
 DOMAIN = ((-3.0, 3.0), (-3.0, 3.0))
@@ -34,7 +51,7 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         fpe_problem(DOMAIN, 8, 8, "quadratic", diffusion=[[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(TooLarge):
-        fpe_problem(DOMAIN, 128, 128, "quadratic")
+        fpe_problem(DOMAIN, 257, 256, "quadratic")
     with pytest.raises(ValueError):
         fpe_problem(((3.0, -3.0), (-3.0, 3.0)), 8, 8, "quadratic")
 
@@ -175,7 +192,7 @@ def test_assembly_matches_face_loop(case):
     gen, clip = discretize_fpe_detailed(prob)
     # same arithmetic in the same order: equal to the last bit
     expected = from_offdiagonal_rates(np.clip(rates, 0.0, None))
-    np.testing.assert_array_equal(gen.q, expected.q)
+    np.testing.assert_array_equal(gen.q.toarray(), expected.q)
     assert clip.entries_clipped == int((rates < 0.0).sum())
 
 
@@ -213,7 +230,7 @@ def test_operator_adjointness_residuals():
 def test_diffusion_only_operator_has_no_antisymmetric_part():
     prob = fpe_problem(DOMAIN, 10, 10, "quadratic", "identity", 0.0)
     gen = discretize_fpe(prob)
-    L = gen.q * stationary_solve(gen).p[np.newaxis, :]
+    L = gen.q.toarray() * stationary_solve(gen).p[np.newaxis, :]
     anti = (L - L.T) / 2.0
     assert np.linalg.norm(anti) <= 1e-12 * np.linalg.norm(L)
     # and the mismatch report agrees: gamma = 0 means A_G is exactly zero
@@ -225,7 +242,7 @@ def test_mismatch_measures_symmetric_part_against_diffusion_flow():
     prob = fpe_problem(DOMAIN, 10, 10, "quadratic", "identity", 0.5)
     d = decompose(discretize_fpe(prob))
     free = decompose(discretize_fpe(fpe_problem(DOMAIN, 10, 10, "quadratic")))
-    expected = np.linalg.norm(d.S - free.F) / np.linalg.norm(d.F)
+    expected = np.linalg.norm((d.S - free.F).toarray()) / np.linalg.norm(d.F.toarray())
     report = operator_symmetry_report(prob, d)
     assert abs(report.mismatch - expected) <= 1e-12 * expected
 
@@ -255,6 +272,83 @@ def test_discrete_invariants_hold_on_fpe_chain():
     report = verify_bound(traj, spectral_bound(d))  # raises if the decay bound fails
     div = report.divergence
     assert ((div[1:] - div[:-1]) <= 1e-10).all()
+
+
+def test_sparse_twin_gives_the_same_results():
+    # every consumer of a generator or decomposition gives the same result,
+    # within round-off, on the CSR generator and on its dense twin
+    prob = fpe_problem(SMALL, 5, 5, "quadratic", "identity", 0.4)
+    gen = discretize_fpe(prob)
+    twin = GeneratorMatrix(gen.q.toarray())
+    assert issparse(gen.q) and not issparse(twin.q)
+
+    def close(a, b, rtol=1e-12):
+        a = a.toarray() if issparse(a) else np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        assert np.abs(a - b).max() <= rtol * max(np.abs(b).max(), 1.0)
+
+    close(stationary_solve(gen).p, stationary_solve(twin).p)
+    d = decompose(gen)
+    assert issparse(d.F) and issparse(d.S) and issparse(d.A)
+    d_dense = decompose(twin)
+    close(d.pi.p, d_dense.pi.p)
+    for part in ("F", "S", "A"):
+        close(getattr(d, part), getattr(d_dense, part), 1e-14)
+    # the decomposition's consumers get its own parts, densified
+    d_twin = FlowDecomposition(pi=d.pi, F=d.F.toarray(), S=d.S.toarray(),
+                               A=d.A.toarray())
+
+    db, db_twin = is_detailed_balance(gen), is_detailed_balance(twin)
+    assert db.balanced == db_twin.balanced is False
+    close(db.max_circulation, db_twin.max_circulation)
+    close(db.max_pairwise_violation, db_twin.max_pairwise_violation)
+    close(db.flow_scale, db_twin.flow_scale)
+
+    close(recompose(d).q, recompose(d_twin).q)
+    close(dual(gen).q, dual(twin).q)
+    close(spectral_bound(d).eigenvalues, spectral_bound(d_twin).eigenvalues)
+
+    p0 = np.zeros(prob.n)
+    p0[0] = 1.0
+    times = np.geomspace(1e-3, 10.0, 20)
+    traj = evolve(gen, probability_vector(p0), times)
+    traj_twin = evolve(twin, probability_vector(p0), times)
+    close(traj.states, traj_twin.states)
+    kinds = [SHANNON, RELATIVE_SHANNON, RELATIVE_GINI]
+    traces = entropy_trace(traj, d, kinds).traces
+    traces_twin = entropy_trace(traj_twin, d_twin, kinds).traces
+    assert traces.keys() == traces_twin.keys()
+    for name in traces:
+        close(traces[name], traces_twin[name])
+
+    p = traj.states[5]
+    close(kl_divergence(p, d.pi), kl_divergence(p, d_twin.pi))
+    close(gini_divergence(p, d.pi), gini_divergence(p, d_twin.pi))
+    close(gini_production(p, d), gini_production(p, d_twin))
+    for split in (production_split, shannon_production_split):
+        a, b = split(p, d), split(p, d_twin)
+        close([a["s_part"], a["a_part"]], [b["s_part"], b["a_part"]])
+
+    cycles = cycle_decompose(d.A)
+    assert cycles.cycles == cycle_decompose(d_twin.A).cycles
+    close(superpose_cycles(cycles, prob.n), d_twin.A, 1e-13)
+
+
+def test_level_past_the_dense_cap_converges():
+    # 16384 cells: twice the old dense cap; one dense 16384 x 16384 array
+    # alone would take 2.1 GB, and the whole study stays below a sixteenth
+    tracemalloc.start()
+    try:
+        levels = refinement_study(DOMAIN, (64, 128), "quadratic", "identity", 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16384 * 16384 * 8 / 16
+    assert [lv["n"] for lv in levels] == [4096, 16384]
+    assert levels[0]["l1_error_gibbs"] / levels[1]["l1_error_gibbs"] >= 3.5
+    for lv in levels:
+        assert max(lv["sym_residual"], lv["anti_residual"]) <= 1e-12
+        assert lv["max_circulation_rel"] > 1e-6
 
 
 def test_refinement_study_reports():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from markov_flow import (
     from_offdiagonal_rates,
@@ -14,7 +15,9 @@ from markov_flow.errors import (
     InvalidProbability,
     NegativeRate,
     Reducible,
+    TooLarge,
 )
+from markov_flow.core import DENSE_MAX_STATES, as_dense
 
 from helpers import random_generator
 
@@ -140,3 +143,65 @@ def test_probability_json_forms():
 def test_all_zero_matrix_is_reducible():
     with pytest.raises(Reducible):
         validate_generator(np.zeros((3, 3)))
+
+
+# rates j -> i at [i, j]: {0, 1} and {3, 4} are closed, 2 leaks into both
+REDUCIBLE_RATES = np.array([
+    [0.0, 1.0, 1.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 2.0],
+    [0.0, 0.0, 0.0, 3.0, 0.0],
+])
+REDUCIBLE_Q = REDUCIBLE_RATES - np.diag(REDUCIBLE_RATES.sum(axis=0))
+
+
+@pytest.mark.parametrize("build, raw, error", [
+    (validate_generator, [[-1.0, -0.5, 0.0], [1.0, 0.5, 1.0], [0.0, 0.0, -1.0]],
+     NegativeRate),
+    (validate_generator, [[-1.0, 2.0], [1.5, -2.0]], ColumnSumViolation),
+    (validate_generator, REDUCIBLE_Q, Reducible),
+    (from_offdiagonal_rates, [[0.0, -0.5, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+     NegativeRate),
+    (from_offdiagonal_rates, REDUCIBLE_RATES, Reducible),
+], ids=["negative", "column-sum", "reducible", "rates-negative", "rates-reducible"])
+def test_csr_input_fails_like_dense(build, raw, error):
+    messages = []
+    for form in (np.array(raw), csr_array(raw)):
+        with pytest.raises(error) as exc:
+            build(form)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "invariant violated" in messages[0]
+
+
+def test_reducible_names_closed_classes():
+    with pytest.raises(Reducible) as exc:
+        validate_generator(csr_array(REDUCIBLE_Q))
+    assert "3 communicating classes" in str(exc.value)
+    assert "closed classes [[0, 1], [3, 4]]" in str(exc.value)
+
+
+def test_csr_generator_matches_dense():
+    rng = np.random.default_rng(5)
+    rates = rng.uniform(0.0, 1.0, (6, 6)) * (rng.uniform(size=(6, 6)) < 0.5)
+    rates += np.roll(np.eye(6), 1, axis=0)        # a ring keeps it irreducible
+    dense = from_offdiagonal_rates(rates)
+    sparse = from_offdiagonal_rates(csr_array(rates))
+    np.testing.assert_array_equal(sparse.q.toarray(), dense.q)
+    for convention, raw in (("column", dense.q), ("row", dense.q.T)):
+        np.testing.assert_array_equal(
+            validate_generator(csr_array(raw), convention).q.toarray(), dense.q
+        )
+    with pytest.raises(ValueError):
+        sparse.q.data[0] = 1.0
+
+
+def test_as_dense_caps_sparse_operands():
+    small = csr_array(np.eye(3))
+    np.testing.assert_array_equal(as_dense(small), np.eye(3))
+    dense = np.eye(3)
+    assert as_dense(dense) is dense
+    big = csr_array((DENSE_MAX_STATES + 1, DENSE_MAX_STATES + 1))
+    with pytest.raises(TooLarge):
+        as_dense(big)

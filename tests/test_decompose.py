@@ -18,7 +18,13 @@ from markov_flow import (
 )
 from markov_flow.core import ProbabilityVector
 from markov_flow.decompose import CYCLE_DUST_RTOL, FlowDecomposition, _check_flow_invariants
-from markov_flow.errors import CycleCountWarning, InvalidFlow, NotAntisymmetric, NotBalanced
+from markov_flow.errors import (
+    CycleCountWarning,
+    InvalidFlow,
+    MarkovFlowError,
+    NotAntisymmetric,
+    NotBalanced,
+)
 
 from helpers import (
     dfs_cycle_peel,
@@ -275,6 +281,15 @@ def test_cycle_decompose_superposition_reconstructs():
 def test_cycle_decompose_rejects_unbalanced():
     with pytest.raises(NotBalanced):
         cycle_decompose(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cycle_decompose_rejects_non_finite(bad):
+    a = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+    a[0, 1] = bad
+    for circulation in (a, np.full((3, 3), bad)):
+        with pytest.raises(MarkovFlowError, match="finiteness invariant violated"):
+            cycle_decompose(circulation)
 
 
 def test_cycle_decompose_rejects_nonantisymmetric():

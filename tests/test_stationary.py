@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.sparse import csr_array
 
 from markov_flow import (
     GeneratorMatrix,
@@ -100,3 +101,26 @@ def test_absorbing_unvalidated_input(method):
     q = np.array([[-1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(SingularBeyondNullity):
         method(GeneratorMatrix(q))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("q, invariant", [
+    ([[-1.0, 2.0, 0.0, 0.0], [1.0, -2.0, 0.0, 0.0],
+      [0.0, 0.0, -3.0, 1.0], [0.0, 0.0, 3.0, -1.0]], "nullity"),
+    ([[-1.0, 0.0], [1.0, 0.0]], "positivity"),
+], ids=["two-blocks", "absorbing"])
+def test_csr_singular_input_fails_like_dense(q, invariant):
+    # the sparse LU refuses the two-block system outright where LAPACK
+    # returns a zero pivot: both name the same invariant
+    for form in (np.array(q), csr_array(q)):
+        with pytest.raises(SingularBeyondNullity) as exc:
+            stationary_solve(GeneratorMatrix(form))
+        assert str(exc.value).startswith(f"{invariant} invariant violated")
+
+
+def test_csr_solve_matches_dense():
+    rng = np.random.default_rng(11)
+    for n in (2, 5, 30):
+        gen = random_generator(rng, n)
+        sparse = stationary_solve(GeneratorMatrix(csr_array(gen.q))).p
+        np.testing.assert_allclose(sparse, stationary_solve(gen).p, rtol=1e-12)
