@@ -43,6 +43,7 @@ log = logging.getLogger(__name__)
 MAX_CELLS = 65536         # one level this size: ~7 s and ~0.3 GB on one core
 MAX_PHI_RANGE = 700.0     # exp() underflow guard
 CLIP_FRACTION_LIMIT = 0.01
+DIFFUSION_RTOL = 1e-12     # symmetry and PSD slack, relative to max|D|
 
 PHI_CATALOG = {
     "quadratic": lambda x, y: 0.5 * (x * x + y * y),
@@ -179,16 +180,17 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
     )
 
 
-def _check_diffusion(d: np.ndarray, tol: float = 1e-12):
+def _check_diffusion(d: np.ndarray):
     scale = max(np.abs(d).max(), 1e-300)
+    tol = DIFFUSION_RTOL * scale
     asym = np.abs(d[..., 0, 1] - d[..., 1, 0]).max()
-    if asym > tol * scale:
+    if asym > tol:
         raise ValueError(
             f"diffusion symmetry violated: max|D01 - D10| = {asym:.3g}"
         )
     det = d[..., 0, 0] * d[..., 1, 1] - d[..., 0, 1] * d[..., 1, 0]
-    if d[..., 0, 0].min() < -tol * scale or d[..., 1, 1].min() < -tol * scale \
-            or det.min() < -tol * scale * scale:
+    if d[..., 0, 0].min() < -tol or d[..., 1, 1].min() < -tol \
+            or det.min() < -tol * scale:
         raise ValueError("diffusion positive-semidefiniteness violated")
 
 

@@ -21,13 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array, csr_matrix, diags_array, issparse
+from scipy.sparse import coo_array, csr_array, diags_array, issparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ColumnSumViolation,
     InvalidProbability,
+    MarkovFlowError,
     NegativeRate,
+    PositivityViolation,
     Reducible,
     TooLarge,
 )
@@ -105,16 +107,37 @@ def as_dense(m) -> np.ndarray:
     return m.toarray()
 
 
+def _finite_scale(m, what: str, error=MarkovFlowError) -> float:
+    """``max|m|`` of a dense or CSR ``m``, or ``error`` if an entry is not finite."""
+    scale = abs(m).max()
+    if not np.isfinite(scale):
+        raise error(
+            f"finiteness invariant violated: {what} has an entry of magnitude "
+            f"{float(scale)!r}"
+        )
+    return scale
+
+
+def _check_positive(pi: np.ndarray):
+    """Raise :class:`PositivityViolation` unless every ``pi_i > 0``."""
+    if not pi.min() > 0.0:  # also true for a NaN
+        i = int(np.argmin(pi))
+        raise PositivityViolation(
+            f"positivity invariant violated: pi[{i}] = {pi[i]:.3g} <= 0"
+        )
+
+
 def probability_vector(values) -> ProbabilityVector:
     """Validate and normalize a probability vector.
 
-    Entries below ``-PROBABILITY_ATOL`` or a total mass off by more than
-    ``PROBABILITY_ATOL`` raise :class:`InvalidProbability`.  Round-off
-    negatives are clipped to zero and the vector is renormalized exactly.
+    A NaN or infinite entry, one below ``-PROBABILITY_ATOL`` or a mass off by
+    more than ``PROBABILITY_ATOL`` raises :class:`InvalidProbability`.
+    Round-off negatives are clipped to zero and the vector renormalized.
     """
     p = np.array(values, dtype=float).reshape(-1)
     if p.size < 1:
         raise InvalidProbability("probability vector is empty")
+    _finite_scale(p, "the probability vector", InvalidProbability)
     if p.min() < -PROBABILITY_ATOL:
         i = int(np.argmin(p))
         raise InvalidProbability(
@@ -132,8 +155,8 @@ def probability_vector(values) -> ProbabilityVector:
 
 def _support_classes(adjacency):
     """Communicating classes of the directed support graph, plus the closed
-    ones.  ``adjacency`` is sparse, with an entry at ``[u, v]`` iff the rate
-    u->v is positive; a class is closed when no edge leaves it."""
+    ones.  ``adjacency`` is dense or sparse, with an entry at ``[u, v]`` iff
+    the rate u->v is positive; a class is closed when no edge leaves it."""
     n_comp, labels = connected_components(
         adjacency, directed=True, connection="strong"
     )
@@ -169,18 +192,6 @@ def _least_offdiagonal(m):
     return float(off.flat[k]), i, j
 
 
-def _support(q):
-    """Sparse adjacency of the positive-rate graph: ``[u, v]`` iff q[v, u] > 0."""
-    if issparse(q):
-        rows, cols, vals = _offdiagonal(q)
-        positive = vals > 0.0
-        return csr_array((np.ones(positive.sum()), (cols[positive], rows[positive])),
-                         shape=q.shape)
-    off = q.copy()
-    np.fill_diagonal(off, 0.0)
-    return csr_matrix(off.T > 0.0)
-
-
 def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
     """Validate a raw rate matrix and normalize it to column convention.
 
@@ -193,11 +204,11 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
 
     Raises
     ------
-    NegativeRate, ColumnSumViolation, Reducible
-        When the corresponding invariant fails.  Reducibility is decided
-        exactly by strong connectivity of the positive-rate graph, so the
-        accepted matrices always have a unique, strictly positive
-        stationary distribution.
+    MarkovFlowError, NegativeRate, ColumnSumViolation, Reducible
+        When an entry is not finite, or the corresponding invariant fails.
+        Reducibility is decided exactly by strong connectivity of the
+        positive-rate graph, so the accepted matrices always have a unique,
+        strictly positive stationary distribution.
     """
     sparse = issparse(raw)
     if sparse:
@@ -215,7 +226,7 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
     elif convention != "column":
         raise ValueError(f"unknown convention {convention!r}; use 'column' or 'row'")
 
-    scale = abs(q).max()
+    scale = _finite_scale(q, "the generator")
     least, i, j = _least_offdiagonal(q)
     if least < -NEGATIVE_RATE_RTOL * scale:
         raise NegativeRate(f"rate invariant violated: q[{i},{j}] = {least:.6g} < 0")
@@ -226,7 +237,7 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
             f"column-sum invariant violated: column {worst} sums to "
             f"{col_sums[worst]:.6g} (tolerance {COLUMN_SUM_RTOL * scale:.3g})"
         )
-    classes, closed = _support_classes(_support(q))
+    classes, closed = _support_classes(q.T > 0.0)
     if len(classes) > 1:
         raise Reducible(
             "irreducibility invariant violated: "
@@ -244,7 +255,8 @@ def from_offdiagonal_rates(rates) -> GeneratorMatrix:
     conserves probability exactly, then the full validation runs.  CSR
     ``rates`` give a CSR generator; each column sum adds the column's rates
     in ascending row order, as numpy's dense column sum does, so a CSR and
-    a dense copy of the same rates give the same generator bit for bit.
+    a dense copy of the same rates give the same generator bit for bit.  A
+    NaN or infinite rate raises :class:`MarkovFlowError`.
     """
     sparse = issparse(rates)
     if sparse:
@@ -259,7 +271,7 @@ def from_offdiagonal_rates(rates) -> GeneratorMatrix:
         r = csr_array((vals, (rows, cols)), shape=r.shape)
     else:
         np.fill_diagonal(r, 0.0)
-    scale = abs(r).max()
+    scale = _finite_scale(r, "the rate matrix")
     least, i, j = _least_offdiagonal(r)
     if least < -NEGATIVE_RATE_RTOL * scale:
         raise NegativeRate(f"rate invariant violated: rate[{i},{j}] = {least:.6g} < 0")

@@ -24,6 +24,8 @@ import numpy as np
 from .core import (
     GeneratorMatrix,
     ProbabilityVector,
+    _check_positive,
+    _finite_scale,
     _frozen,
     _least_offdiagonal,
     as_dense,
@@ -38,7 +40,6 @@ from .errors import (
     NotAntisymmetric,
     NotBalanced,
     NotSymmetric,
-    PositivityViolation,
     RowSumViolation,
 )
 from .stationary import stationary_solve, stationary_tree
@@ -150,11 +151,7 @@ def compose(pi, S, A) -> GeneratorMatrix:
     """
     if not isinstance(pi, ProbabilityVector):
         pi = probability_vector(pi)
-    if pi.p.min() <= 0.0:
-        i = int(np.argmin(pi.p))
-        raise PositivityViolation(
-            f"stationary positivity violated: pi[{i}] = {pi.p[i]:.3g} <= 0"
-        )
+    _check_positive(pi.p)
     S = np.asarray(as_dense(S), dtype=float)
     A = np.asarray(as_dense(A), dtype=float)
     n = pi.n
@@ -290,12 +287,7 @@ def cycle_decompose(A) -> CycleDecomposition:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"circulation must be square, got shape {A.shape}")
     n = A.shape[0]
-    scale = np.abs(A).max()
-    if not np.isfinite(scale):
-        raise MarkovFlowError(
-            f"finiteness invariant violated: the circulation has entries of "
-            f"magnitude {scale!r}"
-        )
+    scale = _finite_scale(A, "the circulation")
     if scale == 0.0:
         return CycleDecomposition(cycles=())
     if np.abs(A + A.T).max() > 1e-12 * scale:

@@ -1,5 +1,8 @@
 """Entropies, divergences, and their production along the flow split.
 
+Each quantity takes one distribution ``(n,)`` and returns a float, or a
+stack ``(m, n)`` of distributions, one per row, and returns ``m`` values.
+
 Sign convention: the math core works with divergences, which are >= 0 and
 decay toward zero along the evolution.  The entropy-oriented quantities
 (<= 0, increasing) are exposed as ``relative_f_entropy`` and are exact
@@ -21,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ProbabilityVector, as_dense
+from .core import ProbabilityVector, _check_positive, as_dense
 from .decompose import FlowDecomposition
 from .errors import NotAntisymmetric, PositivityViolation
 
@@ -34,55 +37,61 @@ def _as_prob_array(p) -> np.ndarray:
     return np.asarray(p, dtype=float)
 
 
-def _check_reference(p: np.ndarray, pi: np.ndarray):
-    if p.size != pi.size:
+def _with_reference(p, pi):
+    """``p`` and ``pi`` as arrays, once ``pi`` fits ``p``'s rows and is > 0."""
+    arr, ref = _as_prob_array(p), _as_prob_array(pi)
+    if arr.shape[-1] != ref.size:
         raise ValueError(
-            f"size invariant violated: p has {p.size} entries, the reference "
-            f"pi has {pi.size}"
+            f"size invariant violated: p has {arr.shape[-1]} entries, the "
+            f"reference pi has {ref.size}"
         )
-    if pi.min() <= 0.0:
-        i = int(np.argmin(pi))
-        raise PositivityViolation(
-            f"reference positivity violated: pi[{i}] = {pi[i]:.3g} <= 0"
-        )
+    _check_positive(ref)
+    return arr, ref
 
 
-def shannon_entropy(p) -> float:
-    """``-sum(p_i log p_i)`` in nats, with ``0 log 0 = 0``."""
+def _per_row(values):
+    """A float for one distribution, the array of row values for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x log(y)`` with ``0 log 0 = 0``: the log is taken where x > 0 only."""
+    return x * np.log(np.where(x > 0.0, y, 1.0))
+
+
+def shannon_entropy(p) -> float | np.ndarray:
+    """``-sum(p_i log p_i)`` in nats, ``0 log 0 = 0``; of each row of a stack."""
     arr = _as_prob_array(p)
-    mask = arr > 0.0
-    return float(-(arr[mask] * np.log(arr[mask])).sum()) + 0.0
+    return _per_row(-_xlogy(arr, arr).sum(axis=-1) + 0.0)
 
 
-def kl_divergence(p, pi) -> float:
-    """``sum(p_i log(p_i/pi_i)) >= 0``, the log-based divergence to ``pi``."""
-    arr = _as_prob_array(p)
-    ref = _as_prob_array(pi)
-    _check_reference(arr, ref)
-    mask = arr > 0.0
-    return float((arr[mask] * np.log(arr[mask] / ref[mask])).sum()) + 0.0
+def kl_divergence(p, pi) -> float | np.ndarray:
+    """``sum(p_i log(p_i/pi_i)) >= 0`` of ``p`` or of each row of a stack."""
+    arr, ref = _with_reference(p, pi)
+    return _per_row(_xlogy(arr, arr / ref).sum(axis=-1) + 0.0)
 
 
-def relative_f_entropy(p, pi, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """``-sum(pi_i f(p_i/pi_i))`` for a convex ``f`` with ``f(1) = 0``.
-
-    The normalization ``f(1) = 0`` makes the value 0 at ``p == pi`` and
-    <= 0 everywhere else (Jensen).  Convexity is the caller's contract; a
-    cheap midpoint spot-check over the actual ratio range runs anyway and
-    raises ``ValueError`` on blatant violations.  ``f`` must accept numpy
-    arrays and is applied pointwise, including at ratio 0 when ``p`` has
-    zero entries — encode conventions like ``0 log 0 = 0`` inside the
-    handle (the built-in log divergence does this already).
-    """
-    arr = _as_prob_array(p)
-    ref = _as_prob_array(pi)
-    _check_reference(arr, ref)
+def _check_normalized(f: Callable):
     f1 = float(np.asarray(f(np.array([1.0])), dtype=float).reshape(-1)[0])
     if abs(f1) > 1e-12:
         raise ValueError(f"normalization contract violated: f(1) = {f1:.3g}, expected 0")
+
+
+def relative_f_entropy(p, pi, f: Callable) -> float | np.ndarray:
+    """``-sum(pi_i f(p_i/pi_i))`` of ``p`` or each stack row, for a convex ``f``.
+
+    The normalization ``f(1) = 0`` makes the value 0 at ``p == pi`` and
+    <= 0 everywhere else (Jensen).  Convexity is the caller's contract; a
+    cheap midpoint spot-check over the ratio range of all rows runs anyway
+    and raises ``ValueError`` on blatant violations.  ``f`` is applied
+    pointwise to the whole array, once, including at ratio 0 where ``p`` has
+    zero entries — encode conventions like ``0 log 0 = 0`` inside it.
+    """
+    arr, ref = _with_reference(p, pi)
+    _check_normalized(f)
     r = arr / ref
     _midpoint_convexity_check(f, r)
-    return float(-(ref * np.asarray(f(r), dtype=float)).sum())
+    return _per_row(-(ref * np.asarray(f(r), dtype=float)).sum(axis=-1))
 
 
 def _midpoint_convexity_check(f, r: np.ndarray):
@@ -104,41 +113,39 @@ def _midpoint_convexity_check(f, r: np.ndarray):
             )
 
 
-def gini_divergence(p, pi) -> float:
-    """Quadratic divergence ``sum(p_i^2/pi_i) - 1``.
+def gini_divergence(p, pi) -> float | np.ndarray:
+    """Quadratic divergence ``sum(p_i^2/pi_i) - 1`` of ``p`` or each stack row.
 
     Nonnegative, zero iff ``p == pi`` (up to round-off at the fixed
     point), and identical to ``sum((p_i - pi_i)^2 / pi_i)``.
     """
-    arr = _as_prob_array(p)
-    ref = _as_prob_array(pi)
-    _check_reference(arr, ref)
-    return float((arr * arr / ref).sum() - 1.0)
+    arr, ref = _with_reference(p, pi)
+    return _per_row((arr * arr / ref).sum(axis=-1) - 1.0)
 
 
-def gini_divergence_rows(states: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """:func:`gini_divergence` of each row of ``states``, with one check."""
-    _check_reference(states[0], pi)
-    return (states * states / pi).sum(axis=1) - 1.0
+def _quadratic_form(r: np.ndarray, m) -> np.ndarray:
+    """``2 r^T m r`` for each row of ``r``."""
+    return 2.0 * np.einsum("...j,...j->...", r @ as_dense(m), r)
 
 
-def gini_production(p, d: FlowDecomposition) -> float:
-    """Time derivative of the quadratic divergence: ``2 r^T S r <= 0``."""
-    r = _as_prob_array(p) / d.pi.p
-    return float(2.0 * r @ as_dense(d.S) @ r)
+def gini_production(p, d: FlowDecomposition) -> float | np.ndarray:
+    """``2 r^T S r <= 0``, the quadratic divergence's rate, per row of a stack."""
+    arr, ref = _with_reference(p, d.pi)
+    return _per_row(_quadratic_form(arr / ref, d.S))
 
 
 def production_split(p, d: FlowDecomposition) -> dict:
-    """Split the quadratic-divergence production into S and A parts.
+    """Split one distribution's quadratic-divergence production into S and A.
 
-    Returns ``{"s_part": 2 r^T S r, "a_part": 2 r^T A r}``.  The
-    circulation part is an antisymmetric quadratic form, hence zero; it is
-    computed and checked rather than assumed (:class:`NotAntisymmetric`).
+    Returns ``{"s_part": 2 r^T S r, "a_part": 2 r^T A r}``; ``s_part`` is
+    :func:`gini_production`.  The circulation part is an antisymmetric
+    quadratic form, hence zero; it is computed and checked rather than
+    assumed (:class:`NotAntisymmetric`).
     """
+    s_part = gini_production(p, d)
     r = _as_prob_array(p) / d.pi.p
-    S, A = as_dense(d.S), as_dense(d.A)
-    s_part = float(2.0 * r @ S @ r)
-    a_part = float(2.0 * r @ A @ r)
+    A = as_dense(d.A)
+    a_part = float(_quadratic_form(r, A))
     a_scale = np.linalg.norm(A) * float(r @ r)
     if abs(a_part) > PRODUCTION_SPLIT_RTOL * max(a_scale, 1e-300):
         raise NotAntisymmetric(
@@ -191,9 +198,7 @@ class EntropyKind:
         if self.tag == "relative_f":
             if self.f is None:
                 raise ValueError("relative_f kind needs a convex handle f")
-            f1 = float(np.asarray(self.f(np.array([1.0])), dtype=float)[0])
-            if abs(f1) > 1e-12:
-                raise ValueError(f"normalization contract violated: f(1) = {f1:.3g}")
+            _check_normalized(self.f)
         if not self.trace_name:
             default = {
                 "shannon": "shannon",

@@ -41,9 +41,11 @@ from .core import GeneratorMatrix, ProbabilityVector, as_dense
 from .decompose import FlowDecomposition
 from .entropy import (
     EntropyKind,
-    _check_reference,
-    gini_divergence_rows,
+    gini_divergence,
+    gini_production,
+    kl_divergence,
     relative_f_entropy,
+    shannon_entropy,
 )
 from .errors import Overflow, StepTooLarge
 
@@ -248,8 +250,10 @@ def entropy_trace(traj: Trajectory, d: FlowDecomposition,
                   kinds: Iterable[EntropyKind]) -> Trajectory:
     """Attach per-time entropy series and monotonicity flags to a trajectory.
 
-    ``d`` is the decomposition of the chain that produced ``traj``: the
-    divergences are taken to ``d.pi`` and the production uses ``d.S``.
+    Each series is one call of its entropy function on the stack
+    ``traj.states``.  ``d`` is the decomposition of the chain that produced
+    ``traj``: the divergences are taken to ``d.pi`` and the production uses
+    ``d.S``.
     Expected directions: the ``kl`` and ``gini_divergence`` series are
     non-increasing, a custom ``relative_f`` series (entropy orientation,
     <= 0) is non-decreasing, and bare Shannon entropy has no guaranteed
@@ -257,34 +261,23 @@ def entropy_trace(traj: Trajectory, d: FlowDecomposition,
     ``gini_production`` (emitted together with the divergence) is a
     derivative series and carries no flag.
     """
-    kinds = sorted(kinds, key=lambda k: k.trace_name)
-    pi = d.pi.p
-
     traces = dict(traj.traces)
     flags = dict(traj.monotone_violations)
-    rows = traj.states
-    # 0 log 0 = 0, as in the per-row functions: take log() where p > 0 only
-    positive = np.where(rows > 0.0, rows, 1.0)
-    for kind in kinds:
+    rows, pi = traj.states, d.pi
+    for kind in sorted(kinds, key=lambda k: k.trace_name):
         if kind.tag == "shannon":
-            series = -(rows * np.log(positive)).sum(axis=1) + 0.0
-            traces[kind.trace_name] = series
-            flags[kind.trace_name] = _nonmonotone_index(series, MONOTONE_TOL)
+            series = shannon_entropy(rows)
+            flag = _nonmonotone_index(series, MONOTONE_TOL)
         elif kind.tag == "relative_shannon":
-            _check_reference(rows[0], pi)
-            series = (rows * np.log(positive / pi)).sum(axis=1) + 0.0
-            traces[kind.trace_name] = series
-            flags[kind.trace_name] = _first_shift(series, +1, MONOTONE_TOL)
+            series = kl_divergence(rows, pi)
+            flag = _first_shift(series, +1, MONOTONE_TOL)
         elif kind.tag == "relative_gini":
-            series = gini_divergence_rows(rows, pi)
-            traces[kind.trace_name] = series
-            flags[kind.trace_name] = _first_shift(series, +1, MONOTONE_TOL)
-            r = rows / pi
-            traces["gini_production"] = 2.0 * np.einsum("ij,ij->i", r @ as_dense(d.S), r)
+            series = gini_divergence(rows, pi)
+            flag = _first_shift(series, +1, MONOTONE_TOL)
+            traces["gini_production"] = gini_production(rows, d)
         else:  # relative_f
-            series = np.array(
-                [relative_f_entropy(row, pi, kind.f) for row in rows]
-            )
-            traces[kind.trace_name] = series
-            flags[kind.trace_name] = _first_shift(series, -1, MONOTONE_TOL)
+            series = relative_f_entropy(rows, pi, kind.f)
+            flag = _first_shift(series, -1, MONOTONE_TOL)
+        traces[kind.trace_name] = series
+        flags[kind.trace_name] = flag
     return replace(traj, traces=traces, monotone_violations=flags)

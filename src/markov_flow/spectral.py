@@ -28,15 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_dense
+from .core import _check_positive, as_dense
 from .decompose import FlowDecomposition
-from .entropy import gini_divergence_rows
+from .entropy import gini_divergence
 from .errors import (
     BoundViolated,
     DisconnectedWarning,
     NoConvergence,
     NotSymmetric,
-    PositivityViolation,
     RowSumViolation,
 )
 from .evolve import Trajectory
@@ -74,11 +73,7 @@ class SpectralBound:
 def build_G(d: FlowDecomposition) -> np.ndarray:
     """``G = diag(sqrt(pi))^-1 S diag(sqrt(pi))^-1`` with invariant checks."""
     pi = d.pi.p
-    if pi.min() <= 0.0:
-        i = int(np.argmin(pi))
-        raise PositivityViolation(
-            f"stationary positivity violated: pi[{i}] = {pi[i]:.3g} <= 0"
-        )
+    _check_positive(pi)
     root = np.sqrt(pi)
     G = as_dense(d.S) / (root[:, np.newaxis] * root[np.newaxis, :])
     scale = max(np.abs(G).max(), 1e-300)
@@ -202,7 +197,7 @@ def verify_bound(traj: Trajectory, sb: SpectralBound) -> BoundReport:
 
     t = traj.times
     elapsed = t - t[0]
-    div = gini_divergence_rows(traj.states, pi)
+    div = gini_divergence(traj.states, pi)
     d0 = div[0]
     bound = d0 * np.exp(-lam2 * elapsed)
     sharp = d0 * np.exp(-2.0 * lam2 * elapsed)

@@ -178,6 +178,33 @@ def test_non_finite_evolution_exits_2(command, t_max, q3_path, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["entropy", "--kind", "kl"],
+    ["entropy", "--kind", "shannon"],
+    ["entropy", "--kind", "gini"],
+    ["evolve"],
+    ["bound"],
+])
+def test_non_finite_p0_exits_2(command, q3_path, tmp_path, capsys):
+    p0 = tmp_path / "nan.json"
+    write_json(p0, [0.5, 0.5, float("nan")])
+    assert main([*command, "--input", str(q3_path), "--p0", str(p0)]) == 2
+    assert "finiteness invariant violated: the probability vector" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("generator", [
+    {"q": [[float("nan"), 1.0], [1.0, -1.0]]},
+    {"q": [[-float("inf"), 1.0], [float("inf"), -1.0]]},
+    {"rates": [[0.0, float("inf")], [1.0, 0.0]]},
+], ids=["q-nan", "q-inf", "rates-inf"])
+@pytest.mark.parametrize("command", ["stationary", "decompose"])
+def test_non_finite_generator_exits_2(command, generator, tmp_path, capsys):
+    path = tmp_path / "q.json"
+    write_json(path, generator)
+    assert main([command, "--input", str(path)]) == 2
+    assert "finiteness invariant violated" in capsys.readouterr().err
+
+
 def test_csv_text_matches_format_spec():
     values = np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308,
                        np.inf, -np.inf, np.nan, 0.1, -1.0 / 3.0, 123456789.0])

@@ -13,6 +13,7 @@ from markov_flow import (
 from markov_flow.errors import (
     ColumnSumViolation,
     InvalidProbability,
+    MarkovFlowError,
     NegativeRate,
     Reducible,
     TooLarge,
@@ -173,6 +174,28 @@ def test_csr_input_fails_like_dense(build, raw, error):
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert "invariant violated" in messages[0]
+
+
+@pytest.mark.parametrize("build, raw", [
+    (validate_generator, [[np.nan, 1.0], [1.0, -1.0]]),
+    (validate_generator, [[-np.inf, 1.0], [np.inf, -1.0]]),
+    (from_offdiagonal_rates, [[0.0, np.inf], [1.0, 0.0]]),
+    (from_offdiagonal_rates, [[0.0, 1.0, np.nan], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+], ids=["nan", "inf", "rates-inf", "rates-nan"])
+def test_non_finite_generator_is_rejected(build, raw):
+    # the check runs before any reduction that would warn on inf - inf
+    messages = []
+    for form in (np.array(raw), csr_array(raw)):
+        with pytest.raises(MarkovFlowError, match="finiteness invariant violated") as exc:
+            build(form)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("values", [[np.nan, 1.0], [0.5, 0.5, np.inf], [-np.inf, 1.0]])
+def test_non_finite_probability_is_rejected(values):
+    with pytest.raises(InvalidProbability, match="finiteness invariant violated"):
+        probability_vector(values)
 
 
 def test_reducible_names_closed_classes():

@@ -203,6 +203,36 @@ def test_production_split_on_wide_rates(gen, data):
     assert abs(production_split(p, d)["a_part"]) <= 1e-13 * max(scale, 1e-300)
 
 
+def test_production_split_s_part_is_gini_production():
+    rng = np.random.default_rng(37)
+    for _ in range(100):
+        n = int(rng.integers(2, 40))
+        d = decompose(random_generator(rng, n, density=float(rng.uniform(0.2, 1.0))))
+        weights = rng.random(n) * (rng.random(n) < 0.6)
+        weights[int(rng.integers(n))] = 1.0
+        p = probability_vector(weights / weights.sum())
+        assert production_split(p, d)["s_part"] == gini_production(p, d)
+
+
+@settings(derandomize=True, deadline=None)
+@given(gen=wide_rate_generators(), data=st.data())
+def test_stack_gives_the_values_of_its_rows(gen, data):
+    m = data.draw(st.integers(1, 8))
+    weights = data.draw(arrays(np.float64, (m, gen.n), elements=st.floats(0.0, 1.0)))
+    weights += weights.sum(axis=1, keepdims=True) == 0.0  # an all-zero row -> uniform
+    rows = weights / weights.sum(axis=1, keepdims=True)
+    pi = decompose(gen).pi.p
+    for divergence in (
+        shannon_entropy,
+        lambda p: kl_divergence(p, pi),
+        lambda p: gini_divergence(p, pi),
+        lambda p: relative_f_entropy(p, pi, lambda x: (x - 1.0) ** 2),
+    ):
+        stacked = divergence(rows)
+        assert stacked.shape == (m,)
+        assert (stacked == [divergence(row) for row in rows]).all()
+
+
 def test_production_split_detailed_balance_chain():
     rng = np.random.default_rng(19)
     gen = random_birth_death(rng, 5)

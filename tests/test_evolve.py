@@ -19,6 +19,7 @@ from markov_flow import (
     kl_divergence,
     lambda2,
     probability_vector,
+    relative_f_entropy,
     relative_f_kind,
     rk4_integrate,
     shannon_entropy,
@@ -296,21 +297,53 @@ def test_vectorized_traces_equal_per_row_functions():
     for n, density in ((9, 0.3), (40, 0.15), (120, 1.0)):
         gen = random_generator(rng, n, density=density)
         cases.append((gen, probability_vector(np.eye(n)[0])))
+        # mixed zero and nonzero entries: a row with zeros at t = 0
+        weights = rng.random(n) * (rng.random(n) < 0.6)
+        weights[0] = 1.0
+        cases.append((gen, probability_vector(weights / weights.sum())))
+    quad = relative_f_kind(lambda x: (x - 1.0) ** 2, name="quad")
     for gen, p0 in cases:
         d = decompose(gen)
         times = np.concatenate([[0.0], np.geomspace(1e-4, 30.0, 150)])
         traj = entropy_trace(evolve(gen, p0, times), d,
-                             [SHANNON, RELATIVE_SHANNON, RELATIVE_GINI])
+                             [SHANNON, RELATIVE_SHANNON, RELATIVE_GINI, quad])
         rows = traj.states
+        assert (rows[0] == 0.0).any() == (p0.p == 0.0).any()
         for name, per_row in (
             ("shannon", shannon_entropy),
             ("kl", lambda row: kl_divergence(row, d.pi.p)),
             ("gini_divergence", lambda row: gini_divergence(row, d.pi.p)),
+            ("quad", lambda row: relative_f_entropy(row, d.pi.p, quad.f)),
         ):
             assert (traj.traces[name] == [per_row(row) for row in rows]).all(), name
+        assert (traj.traces["gini_production"] == gini_production(rows, d)).all()
+        # one row alone is a vector-matrix product, which BLAS rounds
+        # differently from that row of the stack's matrix product
         production = np.array([gini_production(row, d) for row in rows])
         scale = np.abs(production).max()
         assert np.abs(traj.traces["gini_production"] - production).max() <= 1e-14 * scale
+
+
+def test_relative_f_trace_calls_f_a_fixed_number_of_times():
+    rng = np.random.default_rng(31)
+    gen = random_generator(rng, 6)
+    d = decompose(gen)
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return (x - 1.0) ** 2
+
+    kind = relative_f_kind(f)
+    counts = []
+    for points in (10, 1000):
+        traj = evolve(gen, random_probability(rng, 6), np.geomspace(1e-3, 10.0, points))
+        calls.clear()
+        entropy_trace(traj, d, [kind])
+        counts.append(len(calls))
+    # one f(1) check, at most nine convexity probes and one call on the stack
+    assert counts[0] == counts[1] <= 11
+    assert calls[-1] == (1000, 6)
 
 
 def test_trajectory_is_immutable():
