@@ -389,8 +389,14 @@ def refinement_study(domain, grids, phi, diffusion="identity", gamma=0.0):
     level with the stationary-versus-Gibbs L1 error, the clip fraction,
     the relative circulation magnitude, and the operator adjointness
     residuals.  Consecutive L1 ratios near 4 per grid doubling are the
-    second-order signature of the scheme.
+    second-order signature of the scheme.  ``grids`` needs at least one
+    size.
     """
+    if len(grids) < 1:
+        raise ValueError(
+            "refinement invariant violated: a study needs at least one grid "
+            "level, got none"
+        )
     # every level's problem is built, and its size checked, before the
     # first level is solved
     problems = [fpe_problem(domain, grid, grid, phi, diffusion, gamma)

@@ -47,13 +47,21 @@ class GeneratorMatrix:
     """Validated transition-rate matrix in column convention.
 
     ``q`` is a dense array or a CSR array.  Instances are immutable: the
-    array (a CSR array's values) is marked read-only after construction
-    and is safe to share between threads.  Build instances through
-    :func:`validate_generator` or :func:`from_offdiagonal_rates`; direct
-    construction skips validation.
+    array (a CSR array's values) is marked read-only after construction.
+    Because ``q`` cannot change, the stationary distribution and the flow
+    split are computed once per instance: :func:`stationary_solve` and
+    :func:`decompose` store their result on it (``_pi``, ``_decomposition``)
+    and return that same object on every later call; a refusal is not
+    stored.  An instance is safe to share between threads; two threads
+    that solve it at once both compute and store identical values.  Build
+    instances through :func:`validate_generator` or
+    :func:`from_offdiagonal_rates`; direct construction skips validation.
     """
 
     q: np.ndarray
+    # not fields: set by stationary_solve and decompose on their first success
+    _pi = None
+    _decomposition = None
 
     def __post_init__(self):
         object.__setattr__(self, "q", _frozen(self.q))
@@ -169,6 +177,32 @@ def _support_classes(adjacency):
     return classes, closed
 
 
+def _strongly_connected(q) -> bool:
+    """Whether the positive entries of a dense or CSR ``q`` form a strongly
+    connected graph.
+
+    The graph is handed to csgraph as a CSR array built from the support
+    directly, which skips the masked-array pass csgraph makes over a dense
+    input.  Its edge ``i -> j`` is the rate ``j -> i``: reversing every edge
+    keeps the strong components, so no transpose is needed.
+    """
+    n = q.shape[0]
+    if issparse(q):
+        positive = q.data > 0.0
+        rows = np.repeat(np.arange(n), np.diff(q.indptr))[positive]
+        cols = q.indices[positive]
+    else:
+        rows, cols = np.nonzero(q > 0.0)
+    # csgraph walks C-contiguous int32 indices; np.nonzero's are strided
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    support = csr_array((np.ones(rows.size), cols.astype(np.int32), indptr),
+                        shape=(n, n))
+    return connected_components(
+        support, directed=True, connection="strong", return_labels=False
+    ) == 1
+
+
 def _offdiagonal(q):
     """The off-diagonal entries of a CSR ``q`` as ``(rows, cols, values)``."""
     c = coo_array(q)
@@ -237,8 +271,8 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
             f"column-sum invariant violated: column {worst} sums to "
             f"{col_sums[worst]:.6g} (tolerance {COLUMN_SUM_RTOL * scale:.3g})"
         )
-    classes, closed = _support_classes(q.T > 0.0)
-    if len(classes) > 1:
+    if not _strongly_connected(q):
+        classes, closed = _support_classes(q.T > 0.0)
         raise Reducible(
             "irreducibility invariant violated: "
             f"{len(classes)} communicating classes {classes}; "

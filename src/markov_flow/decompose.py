@@ -88,13 +88,22 @@ class CycleDecomposition:
 
 
 def decompose(gen: GeneratorMatrix) -> FlowDecomposition:
-    """Decompose a valid generator into ``(pi, F, S, A)``."""
+    """Decompose a valid generator into ``(pi, F, S, A)``.
+
+    ``pi`` is :func:`stationary_solve`'s, the object stored on ``gen``.  The
+    decomposition is stored on ``gen`` once every flow invariant has passed,
+    so every later call returns the same :class:`FlowDecomposition`; a call
+    that raises stores nothing.
+    """
+    if gen._decomposition is not None:
+        return gen._decomposition
     pi = stationary_solve(gen)
     F = gen.q * pi.p[np.newaxis, :]
     S = (F + F.T) / 2.0
     A = (F - F.T) / 2.0
     d = FlowDecomposition(pi=pi, F=F, S=S, A=A)
     _check_flow_invariants(d)
+    object.__setattr__(gen, "_decomposition", d)
     return d
 
 
@@ -232,7 +241,9 @@ def is_detailed_balance(gen: GeneratorMatrix) -> DetailedBalanceReport:
     The chain is reported balanced iff ``max|A| <= FLOW_RTOL * max|F|``.  The
     pairwise check ``q[i,j] pi_j == q[j,i] pi_i`` is computed from the
     generator directly; each circulation entry is exactly half the
-    corresponding pairwise mismatch, so the two criteria must agree.
+    corresponding pairwise mismatch, so the two criteria must agree.  Both
+    read :func:`decompose`'s stored split, so after ``decompose(gen)`` this
+    solves nothing.
     """
     d = decompose(gen)
     max_a = float(abs(d.A).max())

@@ -218,7 +218,13 @@ def default_time_grid(gen: GeneratorMatrix, points: int = 200,
 
     ``t_max`` defaults to ``10/decay_rate`` when a decay rate (for example
     the spectral gap) is supplied, else ``10/min|q_ii|``; it must be > 0.
+    ``points`` must be at least 1.
     """
+    if points < 1:
+        raise ValueError(
+            f"grid invariant violated: need at least one time point, got "
+            f"points = {points}"
+        )
     if t_max is None:
         if decay_rate is not None and decay_rate > 0:
             t_max = 10.0 / decay_rate

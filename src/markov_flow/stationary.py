@@ -38,6 +38,10 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
     solver tolerance.  A dense generator is factored by LAPACK, a CSR one by
     SuperLU; the contract below is the same for both.
 
+    The result is stored on ``gen``, so every later call on the same
+    generator returns the same :class:`ProbabilityVector` without solving
+    again; a call that raises stores nothing.
+
     Raises
     ------
     SingularBeyondNullity
@@ -45,6 +49,8 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
         exceeds ``1e-10 * max|q|`` — both contradict validated
         irreducibility and signal severe ill-conditioning.
     """
+    if gen._pi is not None:
+        return gen._pi
     q = gen.q
     n = gen.n
     scale = abs(q).max()
@@ -98,7 +104,9 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
             f"positivity invariant violated: pi[{i}] = {pi[i]:.3g} <= 0 despite "
             f"irreducibility (condition estimate {_cond_estimate(m)})"
         )
-    return ProbabilityVector(pi / pi.sum())
+    pi = ProbabilityVector(pi / pi.sum())
+    object.__setattr__(gen, "_pi", pi)
+    return pi
 
 
 def _singular(detail, m) -> SingularBeyondNullity:

@@ -1,5 +1,6 @@
 import importlib
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -165,6 +166,18 @@ def test_size_mismatch_exits_2(command, q3_path, tmp_path, capsys):
     assert "size invariant violated: p0 has 2 entries, the generator has 3 states" in err
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+@pytest.mark.parametrize("command", ["evolve", "bound"])
+def test_too_few_points_exits_2(command, points, q3_path, tmp_path, capsys):
+    p0 = tmp_path / "p0.json"
+    write_json(p0, [1.0, 0.0, 0.0])
+    assert main([command, "--input", str(q3_path), "--p0", str(p0),
+                 "--points", points]) == 2
+    err = capsys.readouterr().err
+    assert "grid invariant violated: need at least one time point" in err
+    assert f"points = {points}" in err
+
+
 @pytest.mark.parametrize("command", ["evolve", "bound"])
 @pytest.mark.parametrize("t_max", ["1e308", "inf", "nan"])
 def test_non_finite_evolution_exits_2(command, t_max, q3_path, tmp_path, capsys):
@@ -246,6 +259,17 @@ def test_continuum_report_is_byte_identical(tmp_path):
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
+@pytest.mark.parametrize("refine", ["0", "-2"])
+def test_refinement_without_levels_exits_2(refine, tmp_path, capsys):
+    problem = tmp_path / "fpe.json"
+    write_json(problem, {"gamma": 0.5})
+    out = tmp_path / "report.json"
+    assert main(["continuum", "--problem", str(problem), "--refine", refine,
+                 "--output", str(out)]) == 2
+    assert "refinement invariant violated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_over_cap_refinement_exits_before_any_level(tmp_path, capsys):
     # grids 64, 128, 256 and 512: the last is past the cell cap, and the
     # study refuses it before it assembles the first level
@@ -257,6 +281,15 @@ def test_over_cap_refinement_exits_before_any_level(tmp_path, capsys):
     assert code == 2
     assert assemble.call_count == 0
     assert "512x512 grid has 262144 cells" in capsys.readouterr().err
+
+
+def test_demo_reproduces_the_committed_files(tmp_path):
+    committed = Path(__file__).resolve().parent.parent / "demo"
+    assert main(["demo", "--output-dir", str(tmp_path)]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(p.name for p in committed.iterdir())
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
 
 
 def test_demo_outputs_are_deterministic(tmp_path):

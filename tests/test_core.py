@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_array
 
 from markov_flow import (
@@ -18,7 +21,12 @@ from markov_flow.errors import (
     Reducible,
     TooLarge,
 )
-from markov_flow.core import DENSE_MAX_STATES, as_dense
+from markov_flow.core import (
+    DENSE_MAX_STATES,
+    _strongly_connected,
+    _support_classes,
+    as_dense,
+)
 
 from helpers import random_generator
 
@@ -203,6 +211,60 @@ def test_reducible_names_closed_classes():
         validate_generator(csr_array(REDUCIBLE_Q))
     assert "3 communicating classes" in str(exc.value)
     assert "closed classes [[0, 1], [3, 4]]" in str(exc.value)
+
+
+@pytest.mark.parametrize("raw, convention", [
+    (REDUCIBLE_Q, "column"),
+    (csr_array(REDUCIBLE_Q), "column"),
+    (REDUCIBLE_Q.T, "row"),
+    (csr_array(REDUCIBLE_Q.T), "row"),
+], ids=["dense", "csr", "dense-row", "csr-row"])
+def test_reducible_lists_the_same_classes_for_every_input_form(raw, convention):
+    with pytest.raises(Reducible) as exc:
+        validate_generator(raw, convention)
+    assert str(exc.value) == (
+        "irreducibility invariant violated: 3 communicating classes "
+        "[[0, 1], [3, 4], [2]]; closed classes [[0, 1], [3, 4]] (stationary "
+        "distribution would not be strictly positive)"
+    )
+
+
+@st.composite
+def supports(draw):
+    """Boolean rate supports (``[i, j]``: a rate j -> i) that are often
+    strongly connected and often not: a birth-death chain, a ring with
+    extra edges, or a block-triangular pair of blocks, each with some edges
+    dropped, or an arbitrary pattern."""
+    n = draw(st.integers(2, 12))
+    family = draw(st.sampled_from(["birth_death", "ring", "block", "any"]))
+    extra = draw(arrays(np.bool_, (n, n)))
+    # about one edge in four of the structured families is dropped
+    kept = draw(arrays(np.bool_, (n, n), elements=st.sampled_from([True] * 3 + [False])))
+    if family == "birth_death":
+        edges = (np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)) & kept
+    elif family == "ring":
+        edges = (np.roll(np.eye(n, dtype=bool), 1, axis=0) | extra) & kept
+    elif family == "block":
+        cut = draw(st.integers(1, n - 1))
+        edges = extra.copy()
+        edges[:cut, cut:] = False      # the first block never hears from the second
+    else:
+        edges = extra
+    np.fill_diagonal(edges, False)
+    return edges
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(edges=supports())
+def test_strong_connectivity_agrees_with_support_classes(edges):
+    rates = edges.astype(float)
+    q = rates - np.diag(rates.sum(axis=0))
+    expected = len(_support_classes(q.T > 0.0)[0]) == 1
+    n = q.shape[0]
+    rows, cols = np.divmod(np.arange(n * n), n)
+    stored_zeros = csr_array((q.ravel(), (rows, cols)), shape=(n, n))
+    for form in (q, csr_array(q), stored_zeros):
+        assert _strongly_connected(form) == expected
 
 
 def test_csr_generator_matches_dense():

@@ -1,7 +1,9 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 
 from markov_flow import (
@@ -13,10 +15,11 @@ from markov_flow import (
     from_offdiagonal_rates,
     is_detailed_balance,
     recompose,
+    stationary_solve,
     superpose_cycles,
     validate_generator,
 )
-from markov_flow.core import ProbabilityVector
+from markov_flow.core import GeneratorMatrix, ProbabilityVector
 from markov_flow.decompose import CYCLE_DUST_RTOL, FlowDecomposition, _check_flow_invariants
 from markov_flow.errors import (
     CycleCountWarning,
@@ -235,6 +238,43 @@ def test_detailed_balance_birth_death_holds():
     for _ in range(10):
         gen = random_birth_death(rng, int(rng.integers(3, 9)))
         assert is_detailed_balance(gen).balanced
+
+
+def test_decomposition_is_stored_on_the_generator():
+    rng = np.random.default_rng(43)
+    gen = random_generator(rng, 6)
+    d = decompose(gen)
+    assert decompose(gen) is d
+    assert d.pi is stationary_solve(gen)
+    # solved first, then decomposed: the same pi either way round
+    gen = random_generator(rng, 6)
+    pi = stationary_solve(gen)
+    assert decompose(gen).pi is pi
+
+
+def test_detailed_balance_reuses_the_decomposition(monkeypatch):
+    factor = mock.Mock(wraps=scipy.linalg.lu_factor)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", factor)
+    gen = random_generator(np.random.default_rng(47), 6)
+    d = decompose(gen)
+    report = is_detailed_balance(gen)
+    assert factor.call_count == 1
+    assert report.max_circulation == float(np.abs(d.A).max())
+
+
+def test_refused_decomposition_is_not_stored():
+    # unchecked: the rate 1 -> 2 is negative, so pi is positive but F[2, 1]
+    # is not; the refusal must come back on every call
+    gen = GeneratorMatrix(np.array([
+        [-2.0, 1.0, 1.0],
+        [1.0, -0.9, 1.0],
+        [1.0, -0.1, -2.0],
+    ]))
+    for _ in range(2):
+        with pytest.raises(InvalidFlow, match=r"F\[2,1\]"):
+            decompose(gen)
+        with pytest.raises(InvalidFlow):
+            is_detailed_balance(gen)
 
 
 def test_flow_invariants_reject_circulation_with_diagonal():

@@ -243,6 +243,12 @@ def test_default_time_grid_rejects_bad_t_max(t_max):
         default_time_grid(two_state(), points=10, t_max=t_max)
 
 
+@pytest.mark.parametrize("points", [0, -3])
+def test_default_time_grid_rejects_too_few_points(points):
+    with pytest.raises(ValueError, match="grid invariant violated: need at least one"):
+        default_time_grid(two_state(), points=points, t_max=1.0)
+
+
 def test_traces_detailed_balance_chain_kl_monotone():
     rng = np.random.default_rng(13)
     gen = random_birth_death(rng, 5)

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from scipy.sparse import csr_array
 
 from markov_flow import (
     GeneratorMatrix,
+    decompose,
     from_offdiagonal_rates,
     stationary_solve,
     stationary_tree,
@@ -116,6 +120,35 @@ def test_csr_singular_input_fails_like_dense(q, invariant):
         with pytest.raises(SingularBeyondNullity) as exc:
             stationary_solve(GeneratorMatrix(form))
         assert str(exc.value).startswith(f"{invariant} invariant violated")
+
+
+def test_solution_is_stored_on_the_generator(monkeypatch):
+    factor = mock.Mock(wraps=scipy.linalg.lu_factor)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", factor)
+    gen = random_generator(np.random.default_rng(13), 7)
+    pi = stationary_solve(gen)
+    assert stationary_solve(gen) is pi
+    assert factor.call_count == 1
+    # a twin generator is a new instance: it solves again, to the same bits
+    twin = stationary_solve(GeneratorMatrix(gen.q))
+    assert factor.call_count == 2
+    assert twin.p.tobytes() == pi.p.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("form", [np.array, csr_array], ids=["dense", "csr"])
+def test_refused_solve_is_not_stored(form):
+    gen = GeneratorMatrix(form([
+        [-1.0, 2.0, 0.0, 0.0],
+        [1.0, -2.0, 0.0, 0.0],
+        [0.0, 0.0, -3.0, 1.0],
+        [0.0, 0.0, 3.0, -1.0],
+    ]))
+    for _ in range(2):
+        with pytest.raises(SingularBeyondNullity):
+            stationary_solve(gen)
+        with pytest.raises(SingularBeyondNullity):
+            decompose(gen)
 
 
 def test_csr_solve_matches_dense():
