@@ -53,14 +53,42 @@ def _emit_text(text: str, output: str | None):
 
 
 def _emit_json(obj, output: str | None):
-    _emit_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", output)
+    _emit_text(_json_text(obj) + "\n", output)
+
+
+_flat_json = json.JSONEncoder(sort_keys=True).encode
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, nested ``indent`` deep.
+
+    ``indent`` forces the stdlib's pure-Python encoder, so a non-empty list
+    of numbers goes through the C encoder instead: it separates the items
+    with ``", "``, which no number contains, and one replace indents them.
+    Lists and string-keyed dicts recurse; anything else (empty containers,
+    other keys) goes to the stdlib with its newlines indented, since every
+    newline in indented JSON is structural.
+    """
+    inner = indent + "  "
+    if isinstance(obj, (str, int, float)) or obj is None:
+        return _flat_json(obj)
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= {int, float}:
+            items = _flat_json(obj)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            items = (",\n" + inner).join(_json_text(x, inner) for x in obj)
+        return f"[\n{inner}{items}\n{indent}]"
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        items = (",\n" + inner).join(f"{_flat_json(k)}: {_json_text(v, inner)}"
+                                      for k, v in sorted(obj.items()))
+        return f"{{\n{inner}{items}\n{indent}}}"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
 def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
-    row = ",".join(["%.17g"] * len(columns))
-    lines = [",".join(header)]
-    lines.extend(row % values for values in zip(*(col.tolist() for col in columns)))
-    return "\n".join(lines) + "\n"
+    rows = ("%.17g," * len(columns))[:-1] + "\n"
+    values = np.column_stack(columns).ravel().tolist()
+    return ",".join(header) + "\n" + (rows * len(columns[0])) % tuple(values)
 
 
 def _matrix_from_json(obj, *keys):

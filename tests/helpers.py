@@ -57,14 +57,17 @@ def random_birth_death(rng, n) -> GeneratorMatrix:
     return from_offdiagonal_rates(rates)
 
 
-def random_circulation(rng, n, n_cycles):
-    """Antisymmetric zero-row-sum matrix built as a known cycle superposition."""
+def random_circulation(rng, n, n_cycles, weights=None):
+    """Antisymmetric zero-row-sum matrix built as a known cycle superposition.
+
+    Each cycle's weight is uniform in [0.1, 1), or drawn from ``weights``.
+    """
     a = np.zeros((n, n))
     cycles = []
     for _ in range(n_cycles):
         length = int(rng.integers(3, n + 1))
         nodes = rng.permutation(n)[:length]
-        weight = float(rng.uniform(0.1, 1.0))
+        weight = float(rng.uniform(0.1, 1.0) if weights is None else rng.choice(weights))
         for u, v in zip(nodes, np.roll(nodes, -1)):
             a[v, u] += weight
             a[u, v] -= weight

@@ -6,7 +6,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from markov_flow import cli, generator_to_json
 from markov_flow.cli import _csv_text, main
+
+from helpers import random_generator
 
 
 def write_json(path, obj):
@@ -226,6 +229,39 @@ def test_csv_text_matches_format_spec():
         f"{x:.17g},{y:.17g}\n" for x, y in zip(values, values[::-1])
     )
     assert text == expected
+
+
+JSON_EDGE_CASES = [
+    [], {}, [[], {}], {"a": [], "b": {}},
+    [True, False, None], [1, True, 2.5],
+    [float("inf"), float("-inf"), float("nan"), -0.0], [5e-324, 1e308, 0],
+    ["a, b", 1.0], {"x, y": [1, 2], "k": "a, b"},
+    {"b": [{"d": [1.5, -2], "c": None}], "a": [[0.1], [1, 2, 3]]},
+]
+
+
+@pytest.mark.parametrize("obj", JSON_EDGE_CASES, ids=repr)
+def test_emit_json_matches_stdlib_on_edge_cases(obj, tmp_path):
+    out = tmp_path / "out.json"
+    cli._emit_json(obj, str(out))
+    assert out.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_emit_json_matches_stdlib_on_cli_outputs(monkeypatch, tmp_path):
+    gen_path, problem = tmp_path / "q120.json", tmp_path / "fpe.json"
+    write_json(gen_path, generator_to_json(random_generator(np.random.default_rng(61), 120)))
+    write_json(problem, {"domain": [[-2, 2], [-2, 2]], "gamma": 0.5})
+    emit, emitted = cli._emit_json, []
+    monkeypatch.setattr(cli, "_emit_json", lambda obj, output: emitted.append(obj))
+    for argv in (["decompose", "--input", str(gen_path)],
+                 ["cycles", "--input", str(gen_path)],
+                 ["continuum", "--problem", str(problem), "--grid", "8", "--refine", "2"]):
+        assert main(argv) == 0
+    assert len(emitted) == 3
+    out = tmp_path / "out.json"
+    for obj in emitted:
+        emit(obj, str(out))
+        assert out.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
 def test_continuum_report(tmp_path):

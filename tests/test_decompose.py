@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from markov_flow import (
     compose,
@@ -379,3 +379,39 @@ def test_cycle_walk_matches_dfs_reference(build):
             warnings.simplefilter("ignore", CycleCountWarning)
             walked = cycle_decompose(a).cycles
         assert walked == tuple(dfs_cycle_peel(a, CYCLE_DUST_RTOL))
+
+
+def _walk_and_reference(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CycleCountWarning)
+        walked = cycle_decompose(a).cycles
+    return walked, tuple(dfs_cycle_peel(a, CYCLE_DUST_RTOL))
+
+
+@pytest.mark.parametrize("weights", [
+    (1.0, 0.5),
+    # 1 - 1.1e-16 and 1 + 2.2e-16: peeling at the smaller weight leaves
+    # round-off on a larger edge, which falls to dust with the minimum
+    (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)),
+], ids=["tied", "dust"])
+def test_cycle_walk_matches_dfs_when_several_edges_fall(weights):
+    # a peel deletes several edges at once, not always the minimum first in
+    # cycle order; the walk resumes from the first deleted one
+    rng = np.random.default_rng(71)
+    for _ in range(300):
+        n = int(rng.integers(3, 13))
+        a, _ = random_circulation(rng, n, int(rng.integers(2, 9)), weights=weights)
+        walked, reference = _walk_and_reference(a)
+        assert walked == reference
+
+
+@settings(derandomize=True, deadline=None)
+@given(gen=wide_rate_generators())
+def test_cycle_walk_matches_dfs_on_wide_rates(gen):
+    a = decompose(gen).A
+    try:
+        walked, reference = _walk_and_reference(a)
+    except NotBalanced:
+        # a circulation of pure round-off, as every 2-state chain has
+        assume(False)
+    assert walked == reference
