@@ -48,7 +48,7 @@ from .entropy import (
     shannon_entropy,
     shannon_production_split,
 )
-from .evolve import Trajectory, default_time_grid, entropy_trace, evolve, rk4_integrate
+from .evolve import Trajectory, default_time_grid, entropy_trace, evolve
 from .spectral import (
     BoundReport,
     SpectralBound,
@@ -107,7 +107,6 @@ __all__ = [
     "shannon_production_split",
     "Trajectory",
     "evolve",
-    "rk4_integrate",
     "default_time_grid",
     "entropy_trace",
     "SpectralBound",

@@ -49,18 +49,21 @@ class GeneratorMatrix:
     ``q`` is a dense array or a CSR array.  Instances are immutable: the
     array (a CSR array's values) is marked read-only after construction.
     Because ``q`` cannot change, the stationary distribution and the flow
-    split are computed once per instance: :func:`stationary_solve` and
-    :func:`decompose` store their result on it (``_pi``, ``_decomposition``)
-    and return that same object on every later call; a refusal is not
-    stored.  An instance is safe to share between threads; two threads
-    that solve it at once both compute and store identical values.  Build
-    instances through :func:`validate_generator` or
-    :func:`from_offdiagonal_rates`; direct construction skips validation.
+    split are computed once per instance: :func:`stationary_solve`,
+    :func:`stationary_tree` and :func:`decompose` store their result on it
+    (``_pi``, ``_pi_tree``, ``_decomposition``) and return that same object
+    on every later call; a refusal is not stored.  An instance is safe to
+    share between threads; two threads that solve it at once both compute
+    and store identical values.  Build instances through
+    :func:`validate_generator` or :func:`from_offdiagonal_rates`; direct
+    construction skips validation.
     """
 
     q: np.ndarray
-    # not fields: set by stationary_solve and decompose on their first success
+    # not fields: set by stationary_solve, stationary_tree and decompose on
+    # their first success
     _pi = None
+    _pi_tree = None
     _decomposition = None
 
     def __post_init__(self):

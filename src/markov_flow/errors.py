@@ -58,10 +58,6 @@ class NotBalanced(MarkovFlowError):
     """Matrix passed as a circulation has nonzero net flow at some node."""
 
 
-class StepTooLarge(MarkovFlowError):
-    """Fixed integration step exceeds the stability guard."""
-
-
 class PositivityViolation(MarkovFlowError):
     """A reference distribution has a nonpositive entry."""
 

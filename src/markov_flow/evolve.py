@@ -21,10 +21,6 @@ takes the cheaper of two steps, both accurate to round-off, chosen from
 The action is taken iff ``18 s <= n``: then its worst case, ``18 s``
 matrix-vector products of ``n^2`` flops each, costs no more than the one
 ``n^3`` matrix product the propagator needs at the least.
-
-A classical fixed-step RK4 integrator is kept alongside purely as an
-independent cross-check; it shares nothing with ``evolve`` but the
-generator.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from .entropy import (
     relative_f_entropy,
     shannon_entropy,
 )
-from .errors import Overflow, StepTooLarge
+from .errors import Overflow
 
 log = logging.getLogger(__name__)
 
@@ -82,9 +78,6 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.states.shape[1]
-
-    def state(self, k: int) -> ProbabilityVector:
-        return ProbabilityVector(self.states[k])
 
 
 def _checked_times(times) -> np.ndarray:
@@ -174,40 +167,6 @@ def evolve(gen: GeneratorMatrix, p0: ProbabilityVector, times) -> Trajectory:
         prev = tk
     return Trajectory(
         times=t, states=_cleanup_states(raw), traces={}, monotone_violations={}
-    )
-
-
-def rk4_integrate(gen: GeneratorMatrix, p0: ProbabilityVector,
-                  t_end: float, h: float) -> Trajectory:
-    """Classical fixed-step RK4 integration of the master equation.
-
-    Used in tests and cross-checks as the integrator that shares no code
-    with :func:`evolve`.  The step must satisfy ``h <= 0.1/max|q_ii|``.
-    """
-    max_diag = np.abs(gen.q.diagonal()).max()
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h!r}")
-    if h > 0.1 / max_diag:
-        raise StepTooLarge(
-            f"step {h!r} exceeds stability guard {0.1 / max_diag:.6g} "
-            "(0.1/max|q_ii|)"
-        )
-    steps = max(1, math.ceil(t_end / h))
-    h_eff = t_end / steps
-    q = as_dense(gen.q)
-    raw = np.empty((steps + 1, gen.n))
-    raw[0] = p0.p
-    p = p0.p.copy()
-    for k in range(steps):
-        k1 = q @ p
-        k2 = q @ (p + 0.5 * h_eff * k1)
-        k3 = q @ (p + 0.5 * h_eff * k2)
-        k4 = q @ (p + h_eff * k3)
-        p = p + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        raw[k + 1] = p
-    times = np.linspace(0.0, t_end, steps + 1)
-    return Trajectory(
-        times=times, states=_cleanup_states(raw), traces={}, monotone_violations={}
     )
 
 

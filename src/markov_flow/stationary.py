@@ -1,10 +1,14 @@
 """Stationary distributions by two mutually independent methods.
 
 ``stationary_solve`` is the production path: a linear solve of the
-rank-deficient balance system with the normalization appended as a
-replacement row, by dense LU for a dense generator and by sparse LU (SuperLU
-through ``scipy.sparse.linalg.splu``) for a CSR one; both refine the
-solution twice and share one residual and positivity contract.
+rank-deficient balance system with one balance equation replaced.  A dense
+generator is factored by LAPACK with the normalization ``sum(pi) = 1`` as
+the replacement row.  A CSR generator is factored by SuperLU
+(``scipy.sparse.linalg.splu``) with the unit anchor row ``pi_k = 1`` and
+normalized afterwards: a row of ones is dense, and SuperLU's fill and time
+grow with it (W. J. Stewart, *Introduction to the Numerical Solution of
+Markov Chains*, 1994, ch. 2).  Both refine the solution twice and share one
+residual and positivity contract, measured on the returned ``pi``.
 ``stationary_tree`` is the oracle: Grassmann-Taksar-Heyman state reduction
 (Oper. Res. 33(5), 1985), which computes the spanning-tree weights of the
 Markov chain tree theorem by censoring one state at a time,
@@ -22,21 +26,29 @@ from scipy.sparse import coo_array, csc_array, issparse
 from scipy.sparse.linalg import splu
 
 from .core import GeneratorMatrix, ProbabilityVector, as_dense
-from .errors import SingularBeyondNullity
+from .errors import Overflow, SingularBeyondNullity
 
 # Residual contract for the linear-solve path, relative to max|q|.
 RESIDUAL_RTOL = 1e-10
+# GTH's back-substitution rescales its weights once one passes this
+TREE_RESCALE = 2.0 ** 512
 
 
 def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
-    """Solve ``q @ pi = 0`` with the mass constraint replacing one balance row.
+    """Solve ``q @ pi = 0`` with one balance row replaced.
 
-    The replaced row is the one with the largest diagonal magnitude, which
-    keeps the modified system well conditioned.  Two steps of iterative
-    refinement push the residual to round-off so that downstream flow
-    matrices inherit row sums at the 1e-14 scale rather than the bare
-    solver tolerance.  A dense generator is factored by LAPACK, a CSR one by
-    SuperLU; the contract below is the same for both.
+    A dense generator replaces the row with the largest diagonal magnitude
+    by the mass constraint ``sum(pi) = 1``, which keeps the modified system
+    well conditioned, and is factored by LAPACK.  A CSR generator replaces
+    one row by the anchor ``pi_k = 1`` and is factored by SuperLU: the
+    anchor adds one entry to the factored matrix where a row of ones adds
+    ``n``.  The anchored solution is ``pi / pi_k``, accurate relative to its
+    largest entry, so ``k`` should be a heavy state: it maximizes the ratio
+    of the rates into and out of a state, one Jacobi step from uniform
+    weights.  The solution is scaled to ``max pi = 1`` before its mass is
+    summed, so the sum cannot overflow.  Two steps of iterative refinement
+    push the residual to round-off so that downstream flow matrices inherit
+    row sums at the 1e-14 scale rather than the bare solver tolerance.
 
     The result is stored on ``gen``, so every later call on the same
     generator returns the same :class:`ProbabilityVector` without solving
@@ -45,32 +57,37 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
     Raises
     ------
     SingularBeyondNullity
-        If the modified system is numerically singular or the residual
-        exceeds ``1e-10 * max|q|`` — both contradict validated
-        irreducibility and signal severe ill-conditioning.
+        If the modified system is numerically singular, a weight is not
+        positive, or the returned ``pi`` leaves a residual
+        ``max|q @ pi|`` above ``1e-10 * max|q|``: each contradicts validated
+        irreducibility and signals severe ill-conditioning.
     """
     if gen._pi is not None:
         return gen._pi
     q = gen.q
     n = gen.n
     scale = abs(q).max()
-    k = int(np.argmax(np.abs(q.diagonal())))
-    b = np.zeros(n)
-    b[k] = 1.0
-    if issparse(q):
+    sparse = issparse(q)
+    if sparse:
+        # one Jacobi step from uniform weights, in / out rate, guesses the
+        # heaviest state; 0/0 (unvalidated input) counts as 0
+        exits = np.abs(q.diagonal())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            guess = (q.sum(axis=1) + exits) / exits
+        k = int(np.argmax(np.fmax(guess, 0.0)))
         c = coo_array(q)
         keep = c.row != k
-        m = csc_array((np.concatenate([c.data[keep], np.ones(n)]),
-                       (np.concatenate([c.row[keep], np.full(n, k)]),
-                        np.concatenate([c.col[keep], np.arange(n)]))),
+        m = csc_array((np.append(c.data[keep], 1.0),
+                       (np.append(c.row[keep], k), np.append(c.col[keep], k))),
                       shape=(n, n))
         try:
-            # minimum degree on the structure of m + m^T orders the dense
-            # normalization row last; column AMD fills 3x more at grid 64
+            # minimum degree on the structure of m + m^T: column AMD fills
+            # 1.7x more at grid 64 and factors 1.5x slower
             solve = splu(m, permc_spec="MMD_AT_PLUS_A").solve
         except RuntimeError as exc:
             raise _singular(exc, m) from exc
     else:
+        k = int(np.argmax(np.abs(q.diagonal())))
         m = q.copy()
         m[k, :] = 1.0
         try:
@@ -83,6 +100,8 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
         def solve(rhs):
             return scipy.linalg.lu_solve(lu, rhs)
 
+    b = np.zeros(n)
+    b[k] = 1.0
     pi = solve(b)
     if np.isfinite(pi).all():
         for _ in range(2):
@@ -91,22 +110,30 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
                 break
             pi = pi + correction
 
-    residual = np.abs(q @ pi).max() if np.isfinite(pi).all() else np.inf
-    if not np.isfinite(pi).all() or residual > RESIDUAL_RTOL * scale:
-        raise SingularBeyondNullity(
-            "stationary residual invariant violated: "
-            f"max|q @ pi| = {residual:.3g} exceeds {RESIDUAL_RTOL * scale:.3g} "
-            f"(condition estimate {_cond_estimate(m)})"
-        )
+    if not np.isfinite(pi).all():
+        raise _residual(np.inf, scale, m)
     if pi.min() <= 0.0:
         i = int(np.argmin(pi))
         raise SingularBeyondNullity(
             f"positivity invariant violated: pi[{i}] = {pi[i]:.3g} <= 0 despite "
             f"irreducibility (condition estimate {_cond_estimate(m)})"
         )
+    if sparse:
+        pi = pi / pi.max()
     pi = ProbabilityVector(pi / pi.sum())
+    residual = np.abs(q @ pi.p).max()
+    if residual > RESIDUAL_RTOL * scale:
+        raise _residual(residual, scale, m)
     object.__setattr__(gen, "_pi", pi)
     return pi
+
+
+def _residual(residual, scale, m) -> SingularBeyondNullity:
+    return SingularBeyondNullity(
+        "stationary residual invariant violated: "
+        f"max|q @ pi| = {residual:.3g} exceeds {RESIDUAL_RTOL * scale:.3g} "
+        f"(condition estimate {_cond_estimate(m)})"
+    )
 
 
 def _singular(detail, m) -> SingularBeyondNullity:
@@ -130,19 +157,27 @@ def stationary_tree(gen: GeneratorMatrix) -> ProbabilityVector:
     States are censored one at a time from the last: the rates out of
     state ``k`` are redistributed over the remaining states in proportion
     to where ``k`` jumps next, and back-substitution recovers each
-    censored state's weight from the ones below it.  The result is the
-    Markov-chain-tree-theorem weight of every state, normalized.  Every
+    censored state's weight from the ones below it, scaling the weights
+    found so far down whenever one passes ``2^512``, so a chain whose
+    weights span more than double precision's range loses its smallest
+    entries to underflow rather than its largest to overflow.  The result is
+    the Markov-chain-tree-theorem weight of every state, normalized.  Every
     operation adds, multiplies or divides nonnegative numbers, so there is no
     cancellation, and the cost is O(n^3) with no size cap.  The method
     shares no linear-algebra code with :func:`stationary_solve`, which is
-    what makes it an independent oracle for it.
+    what makes it an independent oracle for it.  The result is stored on
+    ``gen``, as :func:`stationary_solve` stores its own.
 
     Raises
     ------
     SingularBeyondNullity
         If a censored state has no rate left to the states below it, which
         validated (irreducible) input never produces.
+    Overflow
+        If a weight overflows even so, which takes rate ratios near ``2^512``.
     """
+    if gen._pi_tree is not None:
+        return gen._pi_tree
     n = gen.n
     # row convention: a[i, j] is the rate from i to j; the diagonal is never read
     a = as_dense(gen.q).T.copy()
@@ -160,4 +195,14 @@ def stationary_tree(gen: GeneratorMatrix) -> ProbabilityVector:
     x[0] = 1.0
     for k in range(1, n):
         x[k] = x[:k] @ a[:k, k]
-    return ProbabilityVector(x / x.sum())
+        if x[k] > TREE_RESCALE:
+            x[:k + 1] /= x[k]
+    if not np.isfinite(x).all():
+        k = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise Overflow(
+            f"finiteness invariant violated: the spanning-tree weight of state "
+            f"{k} overflows double precision"
+        )
+    pi = ProbabilityVector(x / x.sum())
+    object.__setattr__(gen, "_pi_tree", pi)
+    return pi

@@ -1,10 +1,21 @@
-"""Shared builders for randomized test sweeps."""
+"""Shared builders for randomized test sweeps, and the tests' oracles."""
 
+import math
+
+import mpmath
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from markov_flow import GeneratorMatrix, from_offdiagonal_rates, probability_vector
+from markov_flow import (
+    GeneratorMatrix,
+    ProbabilityVector,
+    Trajectory,
+    from_offdiagonal_rates,
+    probability_vector,
+)
+from markov_flow.core import as_dense
+from markov_flow.errors import MarkovFlowError
 
 
 def random_generator(rng, n, density=1.0) -> GeneratorMatrix:
@@ -55,6 +66,37 @@ def random_birth_death(rng, n) -> GeneratorMatrix:
         rates[u + 1, u] = rng.uniform(0.2, 2.0)
         rates[u, u + 1] = rng.uniform(0.2, 2.0)
     return from_offdiagonal_rates(rates)
+
+
+def descending_birth_death(rng, n, decades) -> GeneratorMatrix:
+    """Birth-death chain whose stationary weights fall by about ``decades``
+    powers of ten from state 0 to state ``n - 1``.
+
+    Up-rates are uniform in [0.2, 2); each down-rate is its up-rate times
+    ``10^(decades / (n - 1))`` and a factor uniform in [0.8, 1.25).
+    """
+    up = rng.uniform(0.2, 2.0, n - 1)
+    down = up * 10.0 ** (decades / (n - 1)) * rng.uniform(0.8, 1.25, n - 1)
+    k = np.arange(n - 1)
+    rates = np.zeros((n, n))
+    rates[k + 1, k] = up
+    rates[k, k + 1] = down
+    return from_offdiagonal_rates(rates)
+
+
+def birth_death_pi(gen: GeneratorMatrix) -> np.ndarray:
+    """Stationary distribution of a birth-death chain in 50-digit arithmetic.
+
+    The closed form ``pi_(i+1) / pi_i = q[i+1, i] / q[i, i+1]``, evaluated by
+    mpmath on the exact binary values of the rates and rounded once.
+    """
+    with mpmath.workdps(50):
+        weights = [mpmath.mpf(1)]
+        for i in range(gen.n - 1):
+            weights.append(weights[-1] * mpmath.mpf(float(gen.q[i + 1, i]))
+                           / mpmath.mpf(float(gen.q[i, i + 1])))
+        total = mpmath.fsum(weights)
+        return np.array([float(w / total) for w in weights])
 
 
 def random_circulation(rng, n, n_cycles, weights=None):
@@ -123,3 +165,42 @@ def _find_cycle(w):
             on_path[nxt] = len(stack) - 1
             iters.append(iter(np.flatnonzero(w[nxt] > 0.0).tolist()))
     return None
+
+
+class StepTooLarge(MarkovFlowError):
+    """Fixed integration step exceeds the stability guard."""
+
+
+def rk4_integrate(gen: GeneratorMatrix, p0: ProbabilityVector,
+                  t_end: float, h: float) -> Trajectory:
+    """Classical fixed-step RK4 integration of the master equation.
+
+    The integrator that shares no code with ``evolve``, for cross-checks.
+    The step must satisfy ``h <= 0.1/max|q_ii|``.  Rows are clipped at zero
+    and renormalized, as ``evolve`` returns its own.
+    """
+    max_diag = np.abs(gen.q.diagonal()).max()
+    if h <= 0.0:
+        raise ValueError(f"step must be positive, got {h!r}")
+    if h > 0.1 / max_diag:
+        raise StepTooLarge(
+            f"step {h!r} exceeds stability guard {0.1 / max_diag:.6g} "
+            "(0.1/max|q_ii|)"
+        )
+    steps = max(1, math.ceil(t_end / h))
+    h_eff = t_end / steps
+    q = as_dense(gen.q)
+    raw = np.empty((steps + 1, gen.n))
+    raw[0] = p0.p
+    p = p0.p.copy()
+    for k in range(steps):
+        k1 = q @ p
+        k2 = q @ (p + 0.5 * h_eff * k1)
+        k3 = q @ (p + 0.5 * h_eff * k2)
+        k4 = q @ (p + h_eff * k3)
+        p = p + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        raw[k + 1] = p
+    states = np.clip(raw, 0.0, None)
+    states /= states.sum(axis=1, keepdims=True)
+    return Trajectory(times=np.linspace(0.0, t_end, steps + 1), states=states,
+                      traces={}, monotone_violations={})

@@ -169,7 +169,7 @@ def test_criterion_06_shannon_nonmonotone_instance():
 @functools.lru_cache(maxsize=1)
 def _bound_sweep():
     rng = np.random.default_rng(107)
-    sharp_violations = 0
+    worst_sharp = 0.0
     worst_norm_identity = 0.0
     worst_projection = 0.0
     for _ in range(1000):
@@ -180,15 +180,18 @@ def _bound_sweep():
         p0 = random_probability(rng, n, concentrated=bool(rng.integers(2)))
         grid = np.geomspace(1e-3, 10.0 / sb.lambda2, 40)
         traj = evolve(gen, p0, grid)
-        report = verify_bound(traj, spectral_bound(d))  # raises BoundViolated on failure
-        sharp_violations += report.sharp_violations
+        # raises BoundViolated where D exceeds the sharp 2 lambda2 bound
+        report = verify_bound(traj, spectral_bound(d))
+        div = report.divergence
+        above = div > 1e-13 * max(1.0, div[0])   # verify_bound's dust floor
+        worst_sharp = max(worst_sharp, float((div[above] / report.bound_sharp[above]).max()))
         worst_norm_identity = max(worst_norm_identity, report.norm_identity_error)
         worst_projection = max(worst_projection, report.projection_error)
-    return sharp_violations, worst_norm_identity, worst_projection
+    return worst_sharp, worst_norm_identity, worst_projection
 
 
 def test_criterion_07_spectral_decay_bound():
-    sharp_violations, _, _ = _bound_sweep()
+    worst_sharp, _, _ = _bound_sweep()
 
     # two-state oracle: gap 3; the squared distance decays at exactly twice
     # the gap, which sits inside the proven exp(-gap t) envelope
@@ -213,11 +216,11 @@ def test_criterion_07_spectral_decay_bound():
 
     ok = (
         lam2_ok and dev2 <= 1e-10 and inside2
-        and lam3_ok and dev3 <= 1e-9
+        and lam3_ok and dev3 <= 1e-9 and worst_sharp <= 1.0 + 1e-8
     )
     _report(7, "decay bound holds on 1000 chains; closed-form oracles exact",
             ok, f"two-state dev {dev2:.2e}, three-cycle dev {dev3:.2e}, "
-                f"sharp-rate violations {sharp_violations} (expected 0)")
+                f"largest D / sharp bound {worst_sharp:.12f}")
 
 
 def test_criterion_08_proof_identities():

@@ -334,6 +334,22 @@ def test_sparse_twin_gives_the_same_results():
     close(superpose_cycles(cycles, prob.n), d_twin.A, 1e-13)
 
 
+def test_reversible_sparse_twin_gives_the_same_split():
+    # gamma = 0: the anchored sparse solve and the dense one agree on a
+    # detailed-balance generator, and both splits recompose to it
+    gen = discretize_fpe(fpe_problem(SMALL, 6, 6, "quadratic", "identity", 0.0))
+    twin = GeneratorMatrix(gen.q.toarray())
+    pi, pi_twin = stationary_solve(gen).p, stationary_solve(twin).p
+    assert np.abs(pi - pi_twin).max() <= 1e-12 * pi_twin.max()
+    scale = np.abs(twin.q).max()
+    for g in (gen, twin):
+        d = decompose(g)
+        assert is_detailed_balance(g).balanced
+        back = recompose(d).q
+        back = back.toarray() if issparse(back) else back
+        assert np.abs(back - twin.q).max() <= 1e-12 * scale
+
+
 def test_level_past_the_dense_cap_converges():
     # 16384 cells: twice the old dense cap; one dense 16384 x 16384 array
     # alone would take 2.1 GB, and the whole study stays below a sixteenth

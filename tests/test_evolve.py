@@ -21,13 +21,18 @@ from markov_flow import (
     probability_vector,
     relative_f_entropy,
     relative_f_kind,
-    rk4_integrate,
     shannon_entropy,
 )
-from markov_flow.errors import Overflow, StepTooLarge
+from markov_flow.errors import Overflow
 from markov_flow.instances import shannon_nonmonotone, three_cycle, two_state
 
-from helpers import random_birth_death, random_generator, random_probability
+from helpers import (
+    StepTooLarge,
+    random_birth_death,
+    random_generator,
+    random_probability,
+    rk4_integrate,
+)
 
 
 def test_stationary_start_is_fixed_point():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -206,8 +208,8 @@ def test_verify_bound_three_cycle_closed_form():
     report = verify_bound(traj, spectral_bound(d))
     np.testing.assert_allclose(report.divergence[0], 2.0, atol=1e-12)
     np.testing.assert_allclose(report.divergence, 2.0 * np.exp(-3.0 * t), atol=1e-9)
-    # degenerate spectrum makes the sharp rate exact, so no violations
-    assert report.sharp_violations == 0
+    # degenerate spectrum makes the sharp rate exact: D sits on its bound
+    np.testing.assert_allclose(report.divergence, report.bound_sharp, rtol=1e-8)
     assert report.norm_identity_error <= 1e-12
     assert report.projection_error <= 1e-12
 
@@ -222,7 +224,6 @@ def test_verify_bound_random_sweep():
         t = np.geomspace(1e-3, 10.0 / lambda2(d), 40)
         traj = evolve(gen, p0, t)
         report = verify_bound(traj, spectral_bound(d))  # raises on violation
-        assert report.sharp_violations == 0
         assert report.norm_identity_error <= 1e-12
         assert report.projection_error <= 1e-12
 
@@ -246,6 +247,19 @@ def test_verify_bound_catches_mismatched_chain():
     traj_slow = evolve(slow, probability_vector([1.0, 0.0, 0.0]), t)
     with pytest.raises(BoundViolated):
         verify_bound(traj_slow, spectral_bound(d_fast))
+
+
+def test_verify_bound_asserts_the_sharp_rate():
+    # the three-cycle decays exactly at 2 lambda2; a lambda2 overstated by
+    # 10% still bounds it at rate lambda2, but no longer at 2 lambda2
+    gen = three_cycle()
+    sb = spectral_bound(decompose(gen))
+    overstated = replace(sb, eigenvalues=sb.eigenvalues * 1.1)
+    traj = evolve(gen, probability_vector([1.0, 0.0, 0.0]), np.linspace(0.0, 5.0, 30))
+    div = verify_bound(traj, sb).divergence
+    assert (div <= div[0] * np.exp(-overstated.lambda2 * traj.times)).all()
+    with pytest.raises(BoundViolated, match="exp\\(-2 lambda2 t\\)"):
+        verify_bound(traj, overstated)
 
 
 def test_verify_bound_rejects_size_mismatch():

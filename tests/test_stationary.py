@@ -9,6 +9,7 @@ from scipy.sparse import csr_array
 from markov_flow import (
     GeneratorMatrix,
     decompose,
+    dual,
     from_offdiagonal_rates,
     stationary_solve,
     stationary_tree,
@@ -16,7 +17,12 @@ from markov_flow import (
 )
 from markov_flow.errors import SingularBeyondNullity
 
-from helpers import random_generator, wide_rate_generators
+from helpers import (
+    birth_death_pi,
+    descending_birth_death,
+    random_generator,
+    wide_rate_generators,
+)
 
 
 def test_two_state_balance():
@@ -157,3 +163,48 @@ def test_csr_solve_matches_dense():
         gen = random_generator(rng, n)
         sparse = stationary_solve(GeneratorMatrix(csr_array(gen.q))).p
         np.testing.assert_allclose(sparse, stationary_solve(gen).p, rtol=1e-12)
+
+
+@settings(derandomize=True, deadline=None)
+@given(gen=wide_rate_generators())
+def test_csr_solve_matches_tree_on_wide_rates(gen):
+    # the CSR branch anchors one state and normalizes afterwards
+    pi = stationary_solve(GeneratorMatrix(csr_array(gen.q))).p
+    ref = stationary_tree(gen).p
+    assert np.abs(pi - ref).max() <= 1e-10 * ref.max()
+    assert abs(pi.sum() - 1.0) <= 1e-14
+
+
+def test_tree_is_entrywise_accurate_and_stored_for_dual():
+    # min pi 1.4e-6: GTH is accurate relative to every entry, and dual
+    # reuses the pi stored on the generator rather than running GTH again
+    gen = descending_birth_death(np.random.default_rng(2), 25, 5.0)
+    ref = birth_death_pi(gen)
+    assert ref.min() < 2e-6
+    pi = stationary_tree(gen)
+    assert np.abs(pi.p / ref - 1.0).max() <= 1e-14
+    assert stationary_tree(gen) is pi
+    with mock.patch("markov_flow.stationary.as_dense", side_effect=AssertionError):
+        star = dual(gen)
+    assert np.abs(star.q - gen.q).max() <= 1e-13 * np.abs(gen.q).max()
+
+
+def test_tree_weights_beyond_double_range_stay_finite():
+    # pi_i ~ e^(14.6 i) spans e^715, so back-substituting from x[0] = 1
+    # overflows unless the weights are rescaled on the way
+    n = 50
+    k = np.arange(n - 1)
+    rates = np.zeros((n, n))
+    rates[k + 1, k] = np.exp(14.6)
+    rates[k, k + 1] = 1.0
+    gen = from_offdiagonal_rates(rates)
+    pi = stationary_tree(gen).p
+    assert np.isfinite(pi).all() and pi.min() > 0.0
+    ref = birth_death_pi(gen)
+    normal = ref >= np.finfo(float).tiny
+    assert normal.sum() >= n - 2
+    np.testing.assert_allclose(pi[normal], ref[normal], rtol=1e-12, atol=0.0)
+    closed = np.exp(14.6 * np.arange(n) - 14.6 * (n - 1))
+    np.testing.assert_allclose(pi[normal], (closed / closed.sum())[normal], rtol=1e-12)
+    # the chain is reversible, so it is its own dual
+    assert np.abs(dual(gen).q - gen.q).max() <= 1e-12 * np.abs(gen.q).max()
