@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -57,32 +59,80 @@ def _emit_json(obj, output: str | None):
 
 
 _flat_json = json.JSONEncoder(sort_keys=True).encode
+_NUMBER_TYPES = {int, float}
 
 
 def _json_text(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, nested ``indent`` deep.
 
     ``indent`` forces the stdlib's pure-Python encoder, so a non-empty list
-    of numbers goes through the C encoder instead: it separates the items
-    with ``", "``, which no number contains, and one replace indents them.
-    Lists and string-keyed dicts recurse; anything else (empty containers,
-    other keys) goes to the stdlib with its newlines indented, since every
-    newline in indented JSON is structural.
+    is encoded as a column instead (:func:`_column_texts`): a list of
+    numbers, or of non-empty lists of numbers, is one C-encoder call whose
+    text is split back into items on ``", "`` or on the indented
+    ``"], ["``.  That is byte-safe because no number text contains
+    ``", "``, ``[`` or ``]``.  A list of records, dicts that share the same
+    string keys, is encoded one column per key (:func:`_record_texts`).
+    Other lists and string-keyed dicts recurse; anything else (empty
+    containers, other keys) goes to the stdlib with its newlines indented,
+    since every newline in indented JSON is structural.
     """
     inner = indent + "  "
     if isinstance(obj, (str, int, float)) or obj is None:
         return _flat_json(obj)
     if isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) <= {int, float}:
-            items = _flat_json(obj)[1:-1].replace(", ", ",\n" + inner)
-        else:
-            items = (",\n" + inner).join(_json_text(x, inner) for x in obj)
+        keys = _record_keys(obj)
+        texts = _record_texts(obj, keys, inner) if keys else _column_texts(obj, inner)
+        items = (",\n" + inner).join(texts)
         return f"[\n{inner}{items}\n{indent}]"
     if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
         items = (",\n" + inner).join(f"{_flat_json(k)}: {_json_text(v, inner)}"
                                       for k, v in sorted(obj.items()))
         return f"{{\n{inner}{items}\n{indent}}}"
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _record_keys(obj) -> list[str] | None:
+    """The sorted keys every item of ``obj`` has, when the items are
+    non-empty dicts with the same string keys; None otherwise."""
+    first = obj[0]
+    if not (isinstance(first, dict) and first
+            and all(isinstance(k, str) for k in first)):
+        return None
+    keys = first.keys()
+    if all(isinstance(r, dict) and r.keys() == keys for r in obj):
+        return sorted(keys)
+    return None
+
+
+def _record_texts(records, keys: list[str], indent: str) -> list[str]:
+    """Each record as ``_json_text(record, indent)``: each key's values are
+    encoded as one column (:func:`_column_texts`) and fill one ``%``
+    template per record, built from the sorted keys."""
+    inner = indent + "  "
+    template = "{\n%s%s\n%s}" % (
+        inner,
+        (",\n" + inner).join(_flat_json(k).replace("%", "%%") + ": %s"
+                             for k in keys),
+        indent,
+    )
+    columns = [_column_texts(list(map(itemgetter(k), records)), inner)
+               for k in keys]
+    return [template % values for values in zip(*columns)]
+
+
+def _column_texts(column: list, indent: str) -> list[str]:
+    """``[_json_text(v, indent) for v in column]``; a column of number
+    lists has its ``", "`` indented before it is split into lists."""
+    types = set(map(type, column))
+    if types <= _NUMBER_TYPES:
+        return _flat_json(column)[1:-1].split(", ")
+    if (types <= {list, tuple} and all(column)
+            and set(map(type, chain.from_iterable(column))) <= _NUMBER_TYPES):
+        inner = indent + "  "
+        body = _flat_json(column)[2:-2].replace(", ", ",\n" + inner)
+        return [f"[\n{inner}{items}\n{indent}]"
+                for items in body.split("],\n" + inner + "[")]
+    return [_json_text(v, indent) for v in column]
 
 
 def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
@@ -234,6 +284,11 @@ def _cmd_bound(args) -> int:
 
 def _cmd_continuum(args) -> int:
     conf = _read_json(args.problem)
+    if not isinstance(conf, dict):
+        raise ValueError(
+            f"problem invariant violated: the problem JSON must be an object, "
+            f"got {type(conf).__name__}"
+        )
     domain = conf.get("domain", [[-3.0, 3.0], [-3.0, 3.0]])
     phi = conf.get("phi", "quadratic")
     if phi == "custom_samples":

@@ -27,6 +27,7 @@ Cells are indexed row-major: state ``i * ny + j`` is cell ``(i, j)``.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,9 +108,7 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
     callable returning one per point, or a full (nx, ny, 2, 2) array.
     ``gamma`` may be a scalar, a callable, or an (nx, ny) array.
     """
-    (xlo, xhi), (ylo, yhi) = domain
-    if not (xhi > xlo and yhi > ylo):
-        raise ValueError(f"degenerate domain {domain!r}")
+    xlo, xhi, ylo, yhi = _domain_bounds(domain)
     if nx < 4 or ny < 4:
         raise ValueError(f"grid must be at least 4x4, got {nx}x{ny}")
     if nx * ny > MAX_CELLS:
@@ -170,14 +169,37 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
         )
 
     return FpeProblem(
-        xlim=(float(xlo), float(xhi)),
-        ylim=(float(ylo), float(yhi)),
+        xlim=(xlo, xhi),
+        ylim=(ylo, yhi),
         nx=nx,
         ny=ny,
         phi=phi_field,
         diffusion=d_field,
         gamma=gamma_field,
     )
+
+
+def _domain_bounds(domain) -> tuple[float, float, float, float]:
+    """``xlo, xhi, ylo, yhi`` of a domain ``((xlo, xhi), (ylo, yhi))``.
+
+    Raises ``ValueError`` unless the bounds are finite real numbers and
+    each interval has a positive, finite width.
+    """
+    message = (f"domain invariant violated: the domain must be two finite "
+               f"(lo, hi) pairs with lo < hi, got {domain!r}")
+    try:
+        (xlo, xhi), (ylo, yhi) = domain
+        bounds = (xlo, xhi, ylo, yhi)
+        if not all(isinstance(b, numbers.Real) and not isinstance(b, bool)
+                   for b in bounds):
+            raise TypeError
+        xlo, xhi, ylo, yhi = map(float, bounds)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(message) from None
+    if not (xlo < xhi and ylo < yhi
+            and np.isfinite([xlo, xhi, ylo, yhi, xhi - xlo, yhi - ylo]).all()):
+        raise ValueError(message)
+    return xlo, xhi, ylo, yhi
 
 
 def _check_diffusion(d: np.ndarray):

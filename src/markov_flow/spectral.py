@@ -172,7 +172,7 @@ class BoundReport:
     bound_sharp: np.ndarray       # D(p0) exp(-2 lam2 (t - t0)), the asserted rate
     ratio: np.ndarray             # divergence / bound
     lam2: float
-    norm_identity_error: float    # max | ||p/sqrt(pi)-sqrt(pi)||^2 - D |
+    norm_identity_error: float    # max | ||p/sqrt(pi)-sqrt(pi)||^2 - (sum(p^2/pi) - 1) |
     projection_error: float       # max | <sqrt(pi), p/sqrt(pi)-sqrt(pi)> |
 
 
@@ -209,7 +209,9 @@ def verify_bound(traj: Trajectory, sb: SpectralBound) -> BoundReport:
     # the contract is checked on ||p/sqrt(pi) - sqrt(pi)||^2, which is D
     # without the cancellation of sum(p^2/pi) - 1: that form's round-off,
     # about 1e-16, is a relative 1e-8 of a D near 1e-8, where a chain that
-    # decays at exactly 2 lam2 sits on the bound
+    # decays at exactly 2 lam2 sits on the bound.  The expanded form equals
+    # it only while each row keeps unit mass, which norm_identity_error
+    # measures.
     shifted = traj.states / root[np.newaxis, :] - root[np.newaxis, :]
     norm = (shifted * shifted).sum(axis=1)
     contract = norm[0] * np.exp(-2.0 * lam2 * elapsed)
@@ -226,7 +228,8 @@ def verify_bound(traj: Trajectory, sb: SpectralBound) -> BoundReport:
             f"D = {norm[worst]:.6g} > D(p0) exp(-2 lambda2 t) = "
             f"{contract[worst]:.6g} (ratio {excess[worst]:.9g})"
         )
-    norm_err = float(np.abs(norm - div).max())
+    expanded = (traj.states * traj.states / pi[np.newaxis, :]).sum(axis=1) - 1.0
+    norm_err = float(np.abs(norm - expanded).max())
     proj_err = float(np.abs(shifted @ root).max())
     return BoundReport(
         times=t,

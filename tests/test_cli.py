@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markov_flow import cli, generator_to_json
 from markov_flow.cli import _csv_text, main
@@ -237,6 +239,13 @@ JSON_EDGE_CASES = [
     [float("inf"), float("-inf"), float("nan"), -0.0], [5e-324, 1e308, 0],
     ["a, b", 1.0], {"x, y": [1, 2], "k": "a, b"},
     {"b": [{"d": [1.5, -2], "c": None}], "a": [[0.1], [1, 2, 3]]},
+    # lists of records, dicts with the same string keys
+    [{"w": 1.5, "n": [0, 1]}, {"n": [2], "w": -0.0}],
+    [{"b": True, "i": 1}, {"b": 1, "i": False}, {"b": None, "i": 2.5}],
+    [{"n": [], "s": "], ["}, {"n": [1, float("nan")], "s": "%s, %%"}],
+    [{"%s": 1, "k, %": [[1.0]]}, {"%s": float("inf"), "k, %": [[]]}],
+    [{"r": [{"a": [1, 2]}, {"a": [3]}]}, {"r": []}],
+    [{"a": 1}, {"b": 1}], [{"a": 1}, {"a": 2, "b": 3}], [{}, {}], [{"a": 1}, 2],
 ]
 
 
@@ -245,6 +254,45 @@ def test_emit_json_matches_stdlib_on_edge_cases(obj, tmp_path):
     out = tmp_path / "out.json"
     cli._emit_json(obj, str(out))
     assert out.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+NUMBERS = st.one_of(st.integers(), st.floats(),
+                    st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                                     -0.0, 5e-324]))
+TEXTS = st.one_of(st.text(max_size=6),
+                  st.sampled_from(["a, b", "], [", "[1, 2]", "%", "%s", "%%(k)s"]))
+KEYS = st.one_of(st.sampled_from(["a", "b", "k, v", "], [", "%", "%s"]), TEXTS)
+SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, TEXTS)
+
+
+def record_lists(values):
+    """Lists of dicts sharing their keys, one value strategy per key."""
+    columns = st.sampled_from([
+        NUMBERS, st.booleans(), st.one_of(st.booleans(), NUMBERS), st.none(),
+        TEXTS, st.lists(NUMBERS, min_size=1, max_size=4),
+        st.lists(NUMBERS, max_size=2), values,
+    ])
+    shapes = st.dictionaries(KEYS, columns, min_size=1, max_size=4)
+    return shapes.flatmap(
+        lambda shape: st.lists(st.fixed_dictionaries(shape), min_size=1, max_size=5))
+
+
+JSON_DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda values: st.one_of(
+        st.lists(values, max_size=4),
+        st.dictionaries(KEYS, values, max_size=4),
+        record_lists(values),
+        st.lists(st.dictionaries(KEYS, values, max_size=3), max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(obj=JSON_DOCUMENTS)
+def test_json_text_matches_stdlib_on_generated_documents(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_emit_json_matches_stdlib_on_cli_outputs(monkeypatch, tmp_path):
@@ -304,6 +352,30 @@ def test_refinement_without_levels_exits_2(refine, tmp_path, capsys):
                  "--output", str(out)]) == 2
     assert "refinement invariant violated" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("problem, invariant", [
+    ([1, 2], "problem invariant violated"),
+    ("quadratic", "problem invariant violated"),
+    ({"domain": 5}, "domain invariant violated"),
+    ({"domain": [[-3, 3]]}, "domain invariant violated"),
+    ({"domain": [[-3, 3], [-3, 3, 1]]}, "domain invariant violated"),
+    ({"domain": [["-3", "3"], [-3, 3]]}, "domain invariant violated"),
+    ({"domain": [[None, 3], [-3, 3]]}, "domain invariant violated"),
+    ({"domain": [[False, True], [-3, 3]]}, "domain invariant violated"),
+    ({"domain": [[-3, 3], [3, -3]]}, "domain invariant violated"),
+    ({"domain": [[-3, 3], [1, 1]]}, "domain invariant violated"),
+    ({"domain": [[float("-inf"), 3], [-3, 3]]}, "domain invariant violated"),
+    ({"domain": [[-3, float("nan")], [-3, 3]]}, "domain invariant violated"),
+    ({"domain": [[-1e308, 1e308], [-3, 3]]}, "domain invariant violated"),
+    ({"domain": [[-3, 10 ** 400], [-3, 3]]}, "domain invariant violated"),
+])
+def test_malformed_problem_exits_2(problem, invariant, tmp_path, capsys):
+    path = tmp_path / "fpe.json"
+    write_json(path, problem)
+    assert main(["continuum", "--problem", str(path), "--grid", "4",
+                 "--refine", "1"]) == 2
+    assert invariant in capsys.readouterr().err
 
 
 def test_over_cap_refinement_exits_before_any_level(tmp_path, capsys):

@@ -119,6 +119,14 @@ def test_gini_divergence_values():
     np.testing.assert_allclose(gini_divergence([1.0, 0.0], [0.5, 0.5]), 1.0, atol=1e-15)
 
 
+def test_gini_divergence_is_nonnegative_at_the_fixed_point():
+    # the expanded sum(p^2/pi) - 1 read below zero at pi on some of these
+    for seed in range(200):
+        pi = decompose(random_generator(np.random.default_rng(seed), 8)).pi
+        assert gini_divergence(pi, pi) >= 0.0
+        assert (gini_divergence(np.stack([pi.p, pi.p]), pi) >= 0.0).all()
+
+
 def test_gini_chi_square_identity():
     rng = np.random.default_rng(7)
     for _ in range(1000):
