@@ -292,23 +292,20 @@ def _cmd_continuum(args) -> int:
     domain = conf.get("domain", [[-3.0, 3.0], [-3.0, 3.0]])
     phi = conf.get("phi", "quadratic")
     if phi == "custom_samples":
-        phi = np.asarray(conf["phi_samples"], dtype=float)
+        if "phi_samples" not in conf:
+            raise ValueError(
+                'problem invariant violated: phi "custom_samples" needs a '
+                "phi_samples array"
+            )
+        phi = conf["phi_samples"]
         if args.refine != 1:
             raise ValueError(
                 "custom potential samples cannot be resampled: use --refine 1"
             )
-        if phi.shape != (args.grid, args.grid):
-            raise ValueError(
-                f"phi_samples shape {phi.shape} does not match grid {args.grid}"
-            )
     diffusion = conf.get("D", "identity")
-    if isinstance(diffusion, list):
-        diffusion = np.asarray(diffusion, dtype=float)
     gamma = conf.get("gamma", 0.0)
-    if isinstance(gamma, list):
-        gamma = np.asarray(gamma, dtype=float)
-        if args.refine != 1:
-            raise ValueError("sampled gamma cannot be resampled: use --refine 1")
+    if isinstance(gamma, list) and args.refine != 1:
+        raise ValueError("sampled gamma cannot be resampled: use --refine 1")
 
     grids = [args.grid * (2 ** k) for k in range(args.refine)]
     levels = refinement_study(domain, grids, phi, diffusion, gamma)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import logging
 import numbers
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,7 +133,7 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
     elif callable(phi):
         phi_field = np.asarray(phi(xg, yg), dtype=float)
     else:
-        phi_field = np.asarray(phi, dtype=float)
+        phi_field = _samples(phi, "phi samples")
     if phi_field.shape != (nx, ny):
         raise ValueError(
             f"potential samples have shape {phi_field.shape}, expected {(nx, ny)}"
@@ -148,7 +149,7 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
             for j in range(ny):
                 d_field[i, j] = np.asarray(diffusion(xs[i], ys[j]), dtype=float)
     else:
-        d_arr = np.asarray(diffusion, dtype=float)
+        d_arr = _samples(diffusion, "D")
         if d_arr.shape == (2, 2):
             d_field = np.broadcast_to(d_arr, (nx, ny, 2, 2)).copy()
         elif d_arr.shape == (nx, ny, 2, 2):
@@ -162,7 +163,7 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
     if callable(gamma):
         gamma_field = np.asarray(gamma(xg, yg), dtype=float)
     else:
-        gamma_field = np.broadcast_to(np.asarray(gamma, dtype=float), (nx, ny)).copy()
+        gamma_field = np.broadcast_to(_samples(gamma, "gamma"), (nx, ny)).copy()
     if gamma_field.shape != (nx, ny):
         raise ValueError(
             f"gamma samples have shape {gamma_field.shape}, expected {(nx, ny)}"
@@ -177,6 +178,17 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
         diffusion=d_field,
         gamma=gamma_field,
     )
+
+
+def _samples(value, name: str) -> np.ndarray:
+    """``value`` as a float array; raises ``ValueError`` if it is not numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"problem invariant violated: {name} must be numbers, got "
+            f"{reprlib.repr(value)}"
+        ) from None
 
 
 def _domain_bounds(domain) -> tuple[float, float, float, float]:

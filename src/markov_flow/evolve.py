@@ -1,26 +1,36 @@
 """Master-equation integration and entropy traces.
 
-``evolve`` steps the distribution from one grid point to the next,
-``p_k = exp(q h_k) p_{k-1}`` with ``h_k = t_k - t_{k-1}`` and ``p_{-1} = p0``
-at time 0; it never exponentiates ``q t_k`` from ``p0``.  Each interval
-takes the cheaper of two steps, both accurate to round-off, chosen from
-``n`` and ``||q||_1 h`` alone:
+``evolve`` carries the distribution forward from an anchor, the last grid
+state written (``p0`` at time 0), and never exponentiates ``q t_k`` from
+``p0``.  Every step is accurate to round-off, and which one is taken
+depends on ``n`` and on ``||q||_1`` times the offset from the anchor alone:
 
-* the action of the exponential by truncated Taylor series (Al-Mohy and
-  Higham, SIAM J. Sci. Comput. 33(2), 2011): ``s = ceil(||q||_1 h)``
-  substeps of 1-norm at most 1, each summing at most 18 terms of the
-  series and stopping early once a term falls below ``2^-53`` of the
-  running sum.  Eighteen terms suffice because ``theta_18 = 1.09 >= 1``
-  is the largest 1-norm for which 18 terms reach unit round-off
-  ``2^-53``.  Cost: at most ``18 s`` matrix-vector products.
-* the propagator ``expm(q h) @ p`` by scaling-and-squaring Pade
-  approximation.  Cost: at least one ``n x n`` matrix product, and bounded
+* a Taylor block (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011,
+  section 5): every following grid point ``t_k`` with
+  ``||q||_1 (t_k - anchor) <= 1`` shares one set of scaled powers
+  ``V_j = d^j / j! q^j p`` of the truncated Taylor series, built for the
+  farthest offset ``d``; row ``i`` of the block is ``sum_j (delta_i/d)^j V_j``,
+  so its ``B`` rows are one ``(B x J)(J x n)`` product, and the last row is
+  the next anchor.  The series stops after at most 18 terms, or once a
+  term's 1-norm falls below ``2^-53`` of the anchor's.  Eighteen terms
+  suffice because ``theta_18 = 1.09 >= 1`` is the largest 1-norm for which
+  18 terms reach unit round-off ``2^-53``, and a nearer point only shrinks
+  each term by ``(delta_i/d)^j``.  Cost: at most 18 matrix-vector products
+  and one ``(B x 19)(19 x n)`` product per block, and on a grid that is
+  dense next to ``1/||q||_1`` about one block per ``1/||q||_1`` of time.
+* a longer interval ``h`` to the next point is ``s = ceil(||q||_1 h)``
+  one-point blocks of 1-norm at most 1: at most ``18 s`` matrix-vector
+  products.
+* or the propagator ``expm(q h) @ p`` by scaling-and-squaring Pade
+  approximation: at least one ``n x n`` matrix product, and bounded
   however large ``||q h||`` grows, which is what a metastable chain on a
   ``10/lambda2`` grid needs.
 
-The action is taken iff ``18 s <= n``: then its worst case, ``18 s``
-matrix-vector products of ``n^2`` flops each, costs no more than the one
-``n^3`` matrix product the propagator needs at the least.
+Blocks and substeps are taken iff ``18 s <= n`` (``s = 1`` for a block):
+then their worst case, ``18 s`` matrix-vector products of ``n^2`` flops
+each, costs no more than the one ``n^3`` matrix product the propagator
+needs at the least.  A chain with ``n < 18`` therefore always steps by
+``expm``.
 """
 
 from __future__ import annotations
@@ -117,23 +127,33 @@ def _cleanup_states(raw: np.ndarray) -> np.ndarray:
     return states
 
 
-def _taylor_action(q: np.ndarray, p: np.ndarray, h: float, s: int) -> np.ndarray:
-    """``exp(q h) p`` as ``s`` substeps of the truncated Taylor series."""
-    for _ in range(s):
-        term = p
-        for j in range(1, TAYLOR_TERMS + 1):
-            term = (h / (s * j)) * (q @ term)
-            p = p + term
-            if np.abs(term).sum() <= TAYLOR_TOL * np.abs(p).sum():
-                break
-    return p
+def _taylor_block(q: np.ndarray, p: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Rows ``exp(q delta_i) p`` for ascending ``offsets`` ``delta_i >= 0``.
+
+    One set of Taylor terms, built for the farthest offset ``d`` with
+    ``||q||_1 d <= 1``, serves every row (module docstring).  ``d = 0``
+    returns ``p`` itself.
+    """
+    d = offsets[-1]
+    if d == 0.0:
+        return p[np.newaxis, :]
+    tol = TAYLOR_TOL * np.abs(p).sum()
+    terms = [p]
+    for j in range(1, TAYLOR_TERMS + 1):
+        terms.append((d / j) * (q @ terms[-1]))
+        if np.abs(terms[-1]).sum() <= tol:
+            break
+    powers = (offsets / d)[:, np.newaxis] ** np.arange(len(terms))
+    return powers @ np.array(terms)
 
 
 def evolve(gen: GeneratorMatrix, p0: ProbabilityVector, times) -> Trajectory:
-    """Integrate ``dp/dt = q p`` by stepping between grid points.
+    """Integrate ``dp/dt = q p`` forward from the last grid state written.
 
-    Each interval ``h`` takes the truncated-Taylor action when its
-    ``s = ceil(||q||_1 h)`` substeps satisfy ``18 s <= n``, else the
+    At ``n >= 18`` every grid point within ``1/||q||_1`` of the anchor joins
+    one Taylor block of at most 18 matrix-vector products, however many
+    points it holds.  A longer interval ``h`` takes
+    ``s = ceil(||q||_1 h)`` one-point blocks when ``18 s <= n``, else the
     propagator ``expm(q h)`` (module docstring).  Raises :class:`Overflow`
     when a state is not finite: the step to it left double precision.
     """
@@ -144,27 +164,38 @@ def evolve(gen: GeneratorMatrix, p0: ProbabilityVector, times) -> Trajectory:
         )
     t = _checked_times(times)
     q = as_dense(gen.q)
-    q_norm = np.abs(q).sum(axis=0).max()
+    q_norm = float(np.abs(q).sum(axis=0).max())
     # 18 s <= n  iff  ||q||_1 h <= n // 18: tested without ceil(), which
     # raises on an infinite ||q||_1 h
     max_substeps = gen.n // TAYLOR_TERMS
+    grid = t.tolist()
     raw = np.empty((t.size, gen.n))
-    p, prev = p0.p, 0.0
-    for k, tk in enumerate(t):
-        h = tk - prev
-        step_norm = q_norm * h
-        if step_norm <= max_substeps:
-            p = _taylor_action(q, p, h, math.ceil(step_norm))
+    p, anchor, k = p0.p, 0.0, 0
+    while k < t.size:
+        h = grid[k] - anchor
+        stop = k + 1
+        if q_norm * h <= 1.0 <= max_substeps:
+            while stop < t.size and q_norm * (grid[stop] - anchor) <= 1.0:
+                stop += 1
+            rows = _taylor_block(q, p, t[k:stop] - anchor)
+        elif q_norm * h <= max_substeps:
+            # s = 0 only at h = 0, which leaves p as it is
+            s = math.ceil(q_norm * h)
+            for _ in range(s):
+                p = _taylor_block(q, p, np.array([h / s]))[0]
+            rows = p[np.newaxis, :]
         else:
-            p = expm(q * h) @ p
-        if not np.isfinite(p).all():
+            rows = (expm(q * h) @ p)[np.newaxis, :]
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            bad = grid[k + int(np.argmin(finite))]
             raise Overflow(
-                f"finiteness invariant violated: the state at t = {float(tk)!r} "
-                f"is not finite; the step h = {float(h)!r} from t = "
-                f"{float(prev)!r} overflows double precision"
+                f"finiteness invariant violated: the state at t = {bad!r} is not "
+                f"finite; the step h = {bad - anchor!r} from t = {anchor!r} "
+                "overflows double precision"
             )
-        raw[k] = p
-        prev = tk
+        raw[k:stop] = rows
+        p, anchor, k = rows[-1], grid[stop - 1], stop
     return Trajectory(
         times=t, states=_cleanup_states(raw), traces={}, monotone_violations={}
     )

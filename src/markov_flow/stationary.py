@@ -189,8 +189,8 @@ def stationary_tree(gen: GeneratorMatrix) -> ProbabilityVector:
                 f"state reduction invariant violated: state {k} has exit rate "
                 f"{s:.3g} to states 0..{k - 1} after censoring states above it"
             )
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k]) / s
         a[:k, k] /= s
+        a[:k, :k] += a[:k, k, None] * a[k, :k]
     x = np.zeros(n)
     x[0] = 1.0
     for k in range(1, n):

@@ -369,6 +369,14 @@ def test_refinement_without_levels_exits_2(refine, tmp_path, capsys):
     ({"domain": [[-3, float("nan")], [-3, 3]]}, "domain invariant violated"),
     ({"domain": [[-1e308, 1e308], [-3, 3]]}, "domain invariant violated"),
     ({"domain": [[-3, 10 ** 400], [-3, 3]]}, "domain invariant violated"),
+    ({"phi": "custom_samples"},
+     'problem invariant violated: phi "custom_samples" needs a phi_samples array'),
+    ({"phi": "custom_samples", "phi_samples": {"a": 1}},
+     "problem invariant violated: phi samples must be numbers"),
+    ({"gamma": {"a": 1}}, "problem invariant violated: gamma must be numbers"),
+    ({"gamma": "abc"}, "problem invariant violated: gamma must be numbers"),
+    ({"D": {"x": 1}}, "problem invariant violated: D must be numbers"),
+    ({"D": [[1, "x"], [0, 1]]}, "problem invariant violated: D must be numbers"),
 ])
 def test_malformed_problem_exits_2(problem, invariant, tmp_path, capsys):
     path = tmp_path / "fpe.json"

@@ -1,4 +1,5 @@
 import importlib
+import math
 from unittest import mock
 
 import numpy as np
@@ -61,7 +62,7 @@ def test_rk4_two_state_closed_form():
 def test_integrators_agree():
     rng = np.random.default_rng(3)
     worst = 0.0
-    # n = 24 and 40 take the Taylor action on their short intervals
+    # n = 24 and 40 take Taylor blocks on their short intervals
     for size in [None] * 15 + [24, 40]:
         n = size or int(rng.integers(3, 9))
         gen = random_generator(rng, n)
@@ -76,10 +77,10 @@ def test_integrators_agree():
     assert worst <= 1e-8, worst
 
 
-def count_expm(monkeypatch):
+def count_calls(monkeypatch, name):
     evolve_module = importlib.import_module("markov_flow.evolve")
-    calls = mock.Mock(wraps=evolve_module.expm)
-    monkeypatch.setattr(evolve_module, "expm", calls)
+    calls = mock.Mock(wraps=getattr(evolve_module, name))
+    monkeypatch.setattr(evolve_module, name, calls)
     return calls
 
 
@@ -88,26 +89,76 @@ def test_dense_chain_steps_match_per_point_expm(n, monkeypatch):
     rng = np.random.default_rng(n)
     gen = random_generator(rng, n)
     p0 = probability_vector(np.eye(n)[0])
-    t = np.concatenate([[0.0], np.geomspace(1e-3, 10.0 / lambda2(decompose(gen)), 199)])
-    expm_calls = count_expm(monkeypatch)
+    t_max = 10.0 / lambda2(decompose(gen))
+    q_norm = np.abs(gen.q).sum(axis=0).max()
+    expm_calls = count_calls(monkeypatch, "expm")
+    block_calls = count_calls(monkeypatch, "_taylor_block")
+    for points in (200, 1000):
+        t = np.concatenate([[0.0], np.geomspace(1e-3, t_max, points - 1)])
+        block_calls.reset_mock()
+        traj = evolve(gen, p0, t)
+        # every interval of a dense chain's 10/lambda2 grid is short in ||q||_1 h
+        assert expm_calls.call_count == 0
+        assert (traj.states[0] == p0.p).all()
+        for row, tk in zip(traj.states, t):
+            expected = scipy.linalg.expm(gen.q * tk) @ p0.p
+            assert np.abs(row - expected).max() <= 1e-13
+    # the 1000-point grid is dense enough that each block reaches nearly
+    # 1/||q||_1 past its anchor, and the first serves hundreds of rows
+    assert block_calls.call_count <= math.ceil(q_norm * t_max) + 1
+    assert max(len(call.args[2]) for call in block_calls.call_args_list) >= 100
+
+
+def test_block_takes_a_point_exactly_one_norm_unit_away(monkeypatch):
+    rng = np.random.default_rng(37)
+    gen = random_generator(rng, 40)
+    p0 = probability_vector(np.eye(40)[0])
+    q_norm = np.abs(gen.q).sum(axis=0).max()
+    edge = 1.0 / q_norm
+    while q_norm * edge > 1.0:
+        edge = np.nextafter(edge, 0.0)
+    while q_norm * edge < 1.0:
+        edge = np.nextafter(edge, np.inf)
+    assert q_norm * edge == 1.0
+    # blocks from 0 and from edge each end exactly 1/||q||_1 past their anchor
+    t = np.array([edge / 3.0, edge, 2.0 * edge, 2.5 * edge])
+    block_calls = count_calls(monkeypatch, "_taylor_block")
     traj = evolve(gen, p0, t)
-    # every interval of a dense chain's 10/lambda2 grid is short in ||q||_1 h
-    assert expm_calls.call_count == 0
-    assert (traj.states[0] == p0.p).all()
+    assert [list(call.args[2]) for call in block_calls.call_args_list] == [
+        [edge / 3.0, edge], [edge], [2.5 * edge - 2.0 * edge]
+    ]
     for row, tk in zip(traj.states, t):
         expected = scipy.linalg.expm(gen.q * tk) @ p0.p
         assert np.abs(row - expected).max() <= 1e-13
 
 
+@pytest.mark.parametrize("span", [None, 1.5, 5.0])
+def test_first_point_at_zero_is_p0(span):
+    # n >= 18: t = 0 is a block whose only point is its anchor, followed
+    # (if at all) by an interval of ||q||_1 h > 1, taken in two substeps
+    # (1.5) or by the propagator (5.0)
+    rng = np.random.default_rng(41)
+    gen = random_generator(rng, 40)
+    p0 = probability_vector(np.eye(40)[0] * 0.5 + np.eye(40)[1] * 0.25
+                            + np.eye(40)[2] * 0.25)
+    q_norm = np.abs(gen.q).sum(axis=0).max()
+    t = [0.0] if span is None else [0.0, span / q_norm]
+    traj = evolve(gen, p0, t)
+    assert (traj.states[0] == p0.p).all()
+    if span is not None:
+        expected = scipy.linalg.expm(gen.q * t[1]) @ p0.p
+        assert np.abs(traj.states[1] - expected).max() <= 1e-13
+
+
 @pytest.mark.parametrize("n", [18, 40])
 def test_taylor_step_at_its_norm_limit(n, monkeypatch):
-    # one interval of ||q||_1 h just below n // 18: the action's substeps
+    # one interval of ||q||_1 h just below n // 18: its one-point blocks
     # reach 1-norm 1, where 18 Taylor terms are needed for round-off
     rng = np.random.default_rng(31)
     gen = random_generator(rng, n)
     p0 = probability_vector(np.eye(n)[0])
     h = (n // 18) * (1.0 - 1e-12) / np.abs(gen.q).sum(axis=0).max()
-    expm_calls = count_expm(monkeypatch)
+    expm_calls = count_calls(monkeypatch, "expm")
     traj = evolve(gen, p0, [h])
     assert expm_calls.call_count == 0
     expected = scipy.linalg.expm(gen.q * h) @ p0.p
@@ -128,7 +179,7 @@ def test_metastable_chain_takes_both_steps(monkeypatch):
     lam2 = lambda2(decompose(gen))
     assert 1e-5 < lam2 < 1e-3
     t = np.geomspace(1e-3, 10.0 / lam2, 200)
-    expm_calls = count_expm(monkeypatch)
+    expm_calls = count_calls(monkeypatch, "expm")
     traj = evolve(gen, p0, t)
     assert 0 < expm_calls.call_count < t.size
     for row, tk in zip(traj.states, t):
