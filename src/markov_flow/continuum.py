@@ -35,8 +35,8 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import norm as sparse_norm
 
-from .core import GeneratorMatrix, ProbabilityVector, from_offdiagonal_rates
-from .decompose import FlowDecomposition, decompose
+from .core import GeneratorMatrix, ProbabilityVector, _max_abs, from_offdiagonal_rates
+from .decompose import FlowDecomposition, _flow, decompose
 from .errors import ExcessiveClipping, Overflow, TooLarge
 from .stationary import stationary_solve
 
@@ -107,7 +107,9 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
     callable ``phi(x, y)`` over meshgrid arrays, or an (nx, ny) sample
     array.  ``diffusion`` may be ``"identity"``, a constant 2x2 matrix, a
     callable returning one per point, or a full (nx, ny, 2, 2) array.
-    ``gamma`` may be a scalar, a callable, or an (nx, ny) array.
+    ``gamma`` may be a scalar, a callable, or an (nx, ny) array.  Samples
+    must be finite real numbers: a boolean, ``None``, a NaN, an infinity or
+    a wrongly shaped field raises ``ValueError``.
     """
     xlo, xhi, ylo, yhi = _domain_bounds(domain)
     if nx < 4 or ny < 4:
@@ -130,10 +132,8 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
                 f"unknown potential tag {phi!r}; catalog: {sorted(PHI_CATALOG)}"
             )
         phi_field = PHI_CATALOG[phi](xg, yg)
-    elif callable(phi):
-        phi_field = np.asarray(phi(xg, yg), dtype=float)
     else:
-        phi_field = _samples(phi, "phi samples")
+        phi_field = _samples(phi(xg, yg) if callable(phi) else phi, "phi samples")
     if phi_field.shape != (nx, ny):
         raise ValueError(
             f"potential samples have shape {phi_field.shape}, expected {(nx, ny)}"
@@ -156,17 +156,18 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
             d_field = d_arr.copy()
         else:
             raise ValueError(
-                f"diffusion must be 2x2 or (nx, ny, 2, 2), got {d_arr.shape}"
+                f"problem invariant violated: D must be 2x2 or {(nx, ny, 2, 2)}, "
+                f"got shape {d_arr.shape}"
             )
     _check_diffusion(d_field)
 
-    if callable(gamma):
-        gamma_field = np.asarray(gamma(xg, yg), dtype=float)
-    else:
-        gamma_field = np.broadcast_to(_samples(gamma, "gamma"), (nx, ny)).copy()
+    gamma_field = _samples(gamma(xg, yg) if callable(gamma) else gamma, "gamma")
+    if gamma_field.ndim == 0:
+        gamma_field = np.full((nx, ny), gamma_field)
     if gamma_field.shape != (nx, ny):
         raise ValueError(
-            f"gamma samples have shape {gamma_field.shape}, expected {(nx, ny)}"
+            f"problem invariant violated: gamma must be a scalar or {(nx, ny)}, "
+            f"got shape {gamma_field.shape}"
         )
 
     return FpeProblem(
@@ -181,14 +182,35 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
 
 
 def _samples(value, name: str) -> np.ndarray:
-    """``value`` as a float array; raises ``ValueError`` if it is not numbers."""
+    """``value`` as a float array; raises ``ValueError`` unless it is finite
+    real numbers.
+
+    numpy reads ``True`` as 1.0 and ``None`` as NaN, so both are refused
+    before the conversion, wherever they sit in a nested list.
+    """
+    got = f", got {reprlib.repr(value)}"
+    if _holds_flag(value):
+        raise ValueError(f"problem invariant violated: {name} must be numbers{got}")
     try:
-        return np.asarray(value, dtype=float)
+        samples = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(
-            f"problem invariant violated: {name} must be numbers, got "
-            f"{reprlib.repr(value)}"
+            f"problem invariant violated: {name} must be numbers{got}"
         ) from None
+    if not np.isfinite(samples).all():
+        raise ValueError(f"problem invariant violated: {name} must be finite{got}")
+    return samples
+
+
+def _holds_flag(value) -> bool:
+    """Whether ``value``, a number or a nested list or array of them, holds
+    a boolean or ``None``."""
+    if isinstance(value, np.ndarray):
+        return value.dtype == bool or (value.dtype == object
+                                       and _holds_flag(value.tolist()))
+    if isinstance(value, (list, tuple)):
+        return any(_holds_flag(v) for v in value)
+    return value is None or isinstance(value, (bool, np.bool_))
 
 
 def _domain_bounds(domain) -> tuple[float, float, float, float]:
@@ -215,6 +237,8 @@ def _domain_bounds(domain) -> tuple[float, float, float, float]:
 
 
 def _check_diffusion(d: np.ndarray):
+    if not np.isfinite(d).all():
+        raise ValueError("problem invariant violated: D must be finite")
     scale = max(np.abs(d).max(), 1e-300)
     tol = DIFFUSION_RTOL * scale
     asym = np.abs(d[..., 0, 1] - d[..., 1, 0]).max()
@@ -259,18 +283,20 @@ def discretize_fpe(problem: FpeProblem) -> GeneratorMatrix:
     return gen
 
 
-def _face_fluxes(phi, d_nn, d_nt, g_nt, ids, h_n, h_t):
+def _face_fluxes(phi, d_nn, d_nt, g_nt, ids, h_n, h_t, offsets):
     """The fluxes through every face normal to the fields' first axis, as
-    ``(rows, cols, values)`` rate updates.
+    ``(keys, values)`` rate updates.
 
     Fields are indexed (normal, transverse).  ``d_nn`` and ``d_nt`` are
     the normal-normal and normal-transverse entries of ``D`` and ``g_nt``
     the normal-transverse entry of ``G``, each averaged over the face's two
-    cells; ``ids`` holds the cells' state indices and ``h_n``, ``h_t`` are
-    the normal and transverse spacings.  The transverse gradient is a
+    cells; ``ids`` holds the cells' int32 state indices and ``h_n``, ``h_t``
+    are the normal and transverse spacings.  The transverse gradient is a
     central difference clamped at the walls.  The flux through the face
     between ``lo = [a, b]`` and ``hi = [a + 1, b]`` is added to ``lo``'s
-    row and taken from ``hi``'s, so every column keeps a zero sum.
+    row and taken from ``hi``'s, so every column keeps a zero sum.  An
+    update's key is ``9 * row + slot``, where ``slot`` is the rank of its
+    column's offset from its row among the nine sorted stencil ``offsets``.
     """
     k = np.arange(phi.shape[1])
     up, dn = np.minimum(k + 1, k[-1]), np.maximum(k - 1, 0)
@@ -279,9 +305,6 @@ def _face_fluxes(phi, d_nn, d_nt, g_nt, ids, h_n, h_t):
     dphi_n = (phi[1:] - phi[:-1]) / h_n
     dphi_t = (phi[:, up] - phi[:, dn]) / (2.0 * h_t)
     w = nt * 0.5 / (2.0 * h_t)
-    cells = np.stack([ids[:-1], ids[1:],
-                      ids[:-1], ids[:-1, up], ids[:-1, dn],
-                      ids[1:], ids[1:, up], ids[1:, dn]], axis=-1)
     coeffs = np.stack([nn * (0.5 * dphi_n - 1.0 / h_n),
                        nn * (0.5 * dphi_n + 1.0 / h_n),
                        nt * 0.5 * dphi_t[:-1], w, -w,
@@ -289,9 +312,12 @@ def _face_fluxes(phi, d_nn, d_nt, g_nt, ids, h_n, h_t):
     # one update per (face, term, side), in that order, so each rate sums
     # its terms face by face: a term goes to lo's row, then from hi's
     rows = np.stack([ids[:-1], ids[1:]], axis=-1)[:, :, np.newaxis, :]
-    shape = cells.shape + (2,)
-    return (np.broadcast_to(rows, shape).ravel(),
-            np.broadcast_to(cells[..., np.newaxis], shape).ravel(),
+    # ids is an index grid, so a column's offset from its row depends only
+    # on the transverse position: the first row of faces gives every slot
+    lo, hi = ids[0], ids[1]
+    cols = np.stack([lo, hi, lo, lo[up], lo[dn], hi, hi[up], hi[dn]], axis=-1)
+    slots = np.searchsorted(offsets, cols[:, :, np.newaxis] - rows[0])
+    return ((9 * rows + slots.astype(np.int32)).ravel(),
             np.stack([coeffs, -coeffs], axis=-1).ravel())
 
 
@@ -300,36 +326,34 @@ def discretize_fpe_detailed(problem: FpeProblem):
 
     Returns ``(generator, clip_report)``; the generator is CSR.  The face
     updates of each rate are summed in assembly order, so the rates are
-    those of the face-by-face loop to the last bit.  Raises
-    :class:`ExcessiveClipping` when more than 1% of the off-diagonal flux
-    magnitude had to be removed — the scheme is then too coarse for the
-    advection strength and the detailed-balance structure would be
-    distorted beyond the discretization error.
+    those of the face-by-face loop to the last bit.  The summed rates come
+    out in (row, column) order and become the CSR arrays of the rate matrix
+    as they are.  Raises :class:`ExcessiveClipping` when more than 1% of
+    the off-diagonal flux magnitude had to be removed — the scheme is then
+    too coarse for the advection strength and the detailed-balance
+    structure would be distorted beyond the discretization error.
     """
     phi, dif, gam = problem.phi, problem.diffusion, problem.gamma
-    n = problem.n
-    ids = np.arange(n).reshape(problem.nx, problem.ny)
+    n, ny = problem.n, problem.ny
+    ids = np.arange(n, dtype=np.int32).reshape(problem.nx, ny)
+    # a rate's key is its row and the rank of its column's offset among the
+    # nine stencil offsets: keys sort as (row, col) pairs do, and bincount
+    # adds each key's updates in assembly order
+    offsets = np.array([-ny - 1, -ny, -ny + 1, -1, 0, 1, ny - 1, ny, ny + 1],
+                       dtype=np.int32)
     # x faces; the y faces are the x faces of the transposed fields, where
     # G's off-axis entry changes sign
     updates = zip(
         _face_fluxes(phi, dif[..., 0, 0], dif[..., 0, 1], gam, ids,
-                     problem.hx, problem.hy),
+                     problem.hx, problem.hy, offsets),
         _face_fluxes(phi.T, dif[..., 1, 1].T, dif[..., 1, 0].T, -gam.T,
-                     ids.T, problem.hy, problem.hx),
+                     ids.T, problem.hy, problem.hx, offsets),
     )
-    rows, cols, values = (np.concatenate(pair) for pair in updates)
-    # key a rate by its row and the rank of its column's offset among the
-    # nine stencil offsets: keys sort as (row, col) pairs do, and bincount
-    # adds each key's updates in assembly order
-    ny = problem.ny
-    offsets = np.array([-ny - 1, -ny, -ny + 1, -1, 0, 1, ny - 1, ny, ny + 1])
-    rank = np.zeros(2 * ny + 3, dtype=np.intp)
-    rank[offsets + ny + 1] = np.arange(9)
-    keys = rows * 9 + rank[cols - rows + ny + 1]
+    keys, values = (np.concatenate(pair) for pair in updates)
     present = np.zeros(9 * n, dtype=bool)
     present[keys] = True
     present[4::9] = False   # the diagonal
-    slots = np.flatnonzero(present)
+    slots = np.flatnonzero(present).astype(np.int32)
     rates = np.bincount(keys, weights=values, minlength=9 * n)[slots]
 
     negatives = rates < 0.0
@@ -351,8 +375,10 @@ def discretize_fpe_detailed(problem: FpeProblem):
         )
     rates[negatives] = 0.0
     cells = slots // 9
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cells, minlength=n), out=indptr[1:])
     return from_offdiagonal_rates(
-        csr_array((rates, (cells, cells + offsets[slots % 9])), shape=(n, n))
+        csr_array((rates, cells + offsets[slots % 9], indptr), shape=(n, n))
     ), report
 
 
@@ -416,7 +442,7 @@ def operator_symmetry_report(problem: FpeProblem,
         return float((np.abs(pairs) / fg).max()) / max(float(sparse_norm(m)), 1e-300)
 
     q_d = discretize_fpe(replace(problem, gamma=np.zeros_like(problem.gamma)))
-    s_d = q_d.q * stationary_solve(q_d).p[np.newaxis, :]
+    s_d = _flow(q_d.q, stationary_solve(q_d).p)
     l_norm = max(float(sparse_norm(d.F)), 1e-300)
     return OperatorSymmetryReport(
         sym_residual=residual(d.S, 1.0),
@@ -451,14 +477,14 @@ def refinement_study(domain, grids, phi, diffusion="identity", gamma=0.0):
         gibbs = gibbs_distribution(problem)
         d = decompose(gen)
         l1 = float(np.abs(d.pi.p - gibbs.p).sum())
-        flow_scale = max(float(abs(d.F).max()), 1e-300)
+        flow_scale = max(float(_max_abs(d.F)), 1e-300)
         ops = operator_symmetry_report(problem, d)
         levels.append({
             "grid": int(grid),
             "n": problem.n,
             "l1_error_gibbs": l1,
             "clip_fraction": clip.fraction,
-            "max_circulation_rel": float(abs(d.A).max()) / flow_scale,
+            "max_circulation_rel": float(_max_abs(d.A)) / flow_scale,
             "sym_residual": ops.sym_residual,
             "anti_residual": ops.anti_residual,
             "mismatch": ops.mismatch,

@@ -13,6 +13,17 @@ flow split run on either; every other consumer takes its operands through
 :func:`as_dense`, which densifies a CSR operand of at most
 ``DENSE_MAX_STATES`` states and refuses a larger one.
 
+A CSR operand is canonical (sorted column indices, no duplicates) and is
+built straight from its arrays: :func:`from_offdiagonal_rates` takes the
+continuum stencil's sorted rates and merges each row's diagonal into
+place, and every check reads ``.data``, ``.indices`` and ``.indptr``
+directly.  :func:`validate_generator` copies its input once, since the
+caller keeps it, and :class:`GeneratorMatrix` freezes a canonical CSR array
+without copying it again.  The stationary solve splices its anchor row
+into the CSR arrays and hands SuperLU one CSC copy; the flow split
+computes ``F`` on ``q``'s pattern and its parts by one transpose and two
+sparse sums.
+
 States are 0-indexed throughout.
 """
 
@@ -21,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array, diags_array, issparse
+from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -91,10 +102,16 @@ class ProbabilityVector:
 
 
 def _frozen(m):
-    """``m`` as a float array, or a canonical CSR array, marked read-only."""
+    """``m`` as a float array, or a canonical CSR array, marked read-only.
+
+    A float array or a canonical float CSR array is frozen as it is; any
+    other sparse ``m`` is copied into a canonical CSR array first.
+    """
     if issparse(m):
-        m = csr_array(m, dtype=float, copy=True)
-        m.sum_duplicates()
+        if not (isinstance(m, csr_array) and m.dtype == float
+                and m.has_canonical_format):
+            m = csr_array(m, dtype=float, copy=True)
+            m.sum_duplicates()
         m.data.flags.writeable = False
     else:
         m = np.asarray(m, dtype=float)
@@ -118,9 +135,15 @@ def as_dense(m) -> np.ndarray:
     return m.toarray()
 
 
+def _max_abs(m) -> float:
+    """``max|m|`` of a dense or CSR ``m``, 0 if it has no entries; a CSR
+    ``m``'s stored values are read in place."""
+    return abs(m.data if issparse(m) else m).max(initial=0.0)
+
+
 def _finite_scale(m, what: str, error=MarkovFlowError) -> float:
     """``max|m|`` of a dense or CSR ``m``, or ``error`` if an entry is not finite."""
-    scale = abs(m).max()
+    scale = _max_abs(m)
     if not np.isfinite(scale):
         raise error(
             f"finiteness invariant violated: {what} has an entry of magnitude "
@@ -192,7 +215,7 @@ def _strongly_connected(q) -> bool:
     n = q.shape[0]
     if issparse(q):
         positive = q.data > 0.0
-        rows = np.repeat(np.arange(n), np.diff(q.indptr))[positive]
+        rows = _entry_rows(q)[positive]
         cols = q.indices[positive]
     else:
         rows, cols = np.nonzero(q > 0.0)
@@ -206,27 +229,57 @@ def _strongly_connected(q) -> bool:
     ) == 1
 
 
-def _offdiagonal(q):
-    """The off-diagonal entries of a CSR ``q`` as ``(rows, cols, values)``."""
-    c = coo_array(q)
-    keep = c.row != c.col
-    return c.row[keep], c.col[keep], c.data[keep]
+def _entry_rows(m) -> np.ndarray:
+    """The row of each stored entry of a CSR ``m``, in storage order."""
+    return np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype),
+                     np.diff(m.indptr))
+
+
+def _offdiagonal(m):
+    """The off-diagonal entries of a CSR ``m`` as ``(rows, cols, values)``,
+    in storage order."""
+    rows = _entry_rows(m)
+    off = m.indices != rows
+    return rows[off], m.indices[off], m.data[off]
+
+
+def _least(rows, cols, values):
+    """``(value, i, j)`` of the least of ``values``, at ``(rows, cols)``, or
+    ``(0.0, 0, 0)`` when every value is positive: the entries they leave out
+    count as zeros."""
+    k = int(np.argmin(values)) if values.size else None
+    if k is None or values[k] > 0.0:
+        return 0.0, 0, 0
+    return float(values[k]), int(rows[k]), int(cols[k])
 
 
 def _least_offdiagonal(m):
     """``(value, i, j)`` of the least off-diagonal entry of ``m``, dense or
     CSR; the entries a CSR ``m`` does not store count as zeros."""
     if issparse(m):
-        rows, cols, vals = _offdiagonal(m)
-        k = int(np.argmin(vals)) if vals.size else None
-        if k is None or vals[k] > 0.0:
-            return 0.0, 0, 0
-        return float(vals[k]), int(rows[k]), int(cols[k])
+        return _least(*_offdiagonal(m))
     off = m.copy()
     np.fill_diagonal(off, 0.0)
     k = int(off.argmin())
     i, j = divmod(k, off.shape[1])
     return float(off.flat[k]), i, j
+
+
+def _sums(m, axis: int) -> np.ndarray:
+    """Column (``axis=0``) or row (``axis=1``) sums of a dense or CSR ``m``;
+    a CSR ``m``'s sums add its stored values in storage order."""
+    if not issparse(m):
+        return m.sum(axis=axis)
+    keys = m.indices if axis == 0 else _entry_rows(m)
+    return np.bincount(keys, weights=m.data, minlength=m.shape[1 - axis])
+
+
+def _check_square(m, what: str):
+    """Raise ``ValueError`` unless ``m`` is square with at least 2 rows."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {m.shape}")
+    if m.shape[0] < 2:
+        raise ValueError(f"generator needs at least 2 states, got n={m.shape[0]}")
 
 
 def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
@@ -253,11 +306,7 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
         q.sum_duplicates()
     else:
         q = np.array(raw, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError(f"generator must be square, got shape {q.shape}")
-    n = q.shape[0]
-    if n < 2:
-        raise ValueError(f"generator needs at least 2 states, got n={n}")
+    _check_square(q, "generator")
     if convention == "row":
         q = q.T.tocsr() if sparse else np.ascontiguousarray(q.T)
     elif convention != "column":
@@ -267,7 +316,7 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
     least, i, j = _least_offdiagonal(q)
     if least < -NEGATIVE_RATE_RTOL * scale:
         raise NegativeRate(f"rate invariant violated: q[{i},{j}] = {least:.6g} < 0")
-    col_sums = q.sum(axis=0)
+    col_sums = _sums(q, axis=0)
     worst = int(np.argmax(np.abs(col_sums)))
     if abs(col_sums[worst]) > COLUMN_SUM_RTOL * scale:
         raise ColumnSumViolation(
@@ -290,37 +339,65 @@ def from_offdiagonal_rates(rates) -> GeneratorMatrix:
 
     The diagonal is overwritten with minus the column sums, so the result
     conserves probability exactly, then the full validation runs.  CSR
-    ``rates`` give a CSR generator; each column sum adds the column's rates
-    in ascending row order, as numpy's dense column sum does, so a CSR and
-    a dense copy of the same rates give the same generator bit for bit.  A
-    NaN or infinite rate raises :class:`MarkovFlowError`.
+    ``rates`` give a CSR generator, built from their arrays: rates at or
+    below zero are dropped and each row's diagonal entry is merged into
+    place.  Each column sum adds the column's rates in ascending row order,
+    as numpy's dense column sum does, so a CSR and a dense copy of the same
+    rates give the same generator bit for bit.  A NaN or infinite rate
+    raises :class:`MarkovFlowError`.
     """
     sparse = issparse(rates)
     if sparse:
-        r = csr_array(rates, dtype=float, copy=True)
-        r.sum_duplicates()
+        # the arrays are only read; a non-canonical input is summed on a copy
+        r = csr_array(rates, dtype=float)
+        if not r.has_canonical_format:
+            r = r.copy()
+            r.sum_duplicates()
     else:
         r = np.array(rates, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError(f"rate matrix must be square, got shape {r.shape}")
+    _check_square(r, "rate matrix")
     if sparse:
-        rows, cols, vals = _offdiagonal(r)
-        r = csr_array((vals, (rows, cols)), shape=r.shape)
+        rows, cols, values = _offdiagonal(r)
+        scale = _finite_scale(values, "the rate matrix")
+        least, i, j = _least(rows, cols, values)
     else:
         np.fill_diagonal(r, 0.0)
-    scale = _finite_scale(r, "the rate matrix")
-    least, i, j = _least_offdiagonal(r)
+        scale = _finite_scale(r, "the rate matrix")
+        least, i, j = _least_offdiagonal(r)
     if least < -NEGATIVE_RATE_RTOL * scale:
         raise NegativeRate(f"rate invariant violated: rate[{i},{j}] = {least:.6g} < 0")
     if sparse:
-        r.data[r.data < 0.0] = 0.0
-        r.eliminate_zeros()
-        col_sums = np.zeros(r.shape[0])
-        np.add.at(col_sums, r.indices, r.data)   # CSR order: ascending rows
-        return validate_generator(r - diags_array(col_sums))
+        positive = values > 0.0
+        return validate_generator(_csr_generator(
+            rows[positive], cols[positive], values[positive], r.shape[0]))
     r = np.clip(r, 0.0, None)
     np.fill_diagonal(r, -r.sum(axis=0))
     return validate_generator(r)
+
+
+def _csr_generator(rows, cols, rates, n: int) -> csr_array:
+    """The CSR generator of off-diagonal ``rates`` at ``(rows, cols)``, given
+    in canonical CSR order, with each row's diagonal entry merged into place.
+
+    The diagonal is minus the column sums: ``bincount`` adds each column's
+    rates in storage order, which is ascending row order.
+    """
+    diagonal = -np.bincount(cols, weights=rates, minlength=n)
+    size = rates.size + n
+    # an off-diagonal entry moves right by one slot per earlier row's
+    # diagonal entry, and by one more when it lies right of its own
+    slot = np.arange(rates.size) + rows + (cols > rows)
+    on_diagonal = np.ones(size, dtype=bool)
+    on_diagonal[slot] = False
+    data = np.empty(size)
+    data[slot] = rates
+    data[on_diagonal] = diagonal
+    indices = np.empty(size, dtype=cols.dtype)
+    indices[slot] = cols
+    indices[on_diagonal] = np.arange(n)
+    indptr = np.zeros(n + 1, dtype=cols.dtype)
+    np.cumsum(np.bincount(rows, minlength=n) + 1, out=indptr[1:])
+    return csr_array((data, indices, indptr), shape=(n, n))
 
 
 def generator_from_json(obj: dict) -> GeneratorMatrix:

@@ -9,9 +9,10 @@ triple ``(pi, S, A)`` determines the generator exactly via
 freedom budgets: ``n-1`` for ``pi``, ``n(n-1)/2`` for ``S`` and
 ``(n-1)(n-2)/2`` for ``A``.
 
-A CSR generator gives CSR ``F``, ``S`` and ``A``; the invariants are checked
-on them as they are.  The other operations here take their operands through
-``as_dense``.
+A CSR generator gives CSR ``F``, ``S`` and ``A``: ``F`` on the generator's
+pattern, ``S`` and ``A`` from one transpose of it, and the invariants are
+checked on their arrays as they are.  The other operations here take their
+operands through ``as_dense``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array, issparse
 
 from .core import (
     GeneratorMatrix,
@@ -28,6 +30,8 @@ from .core import (
     _finite_scale,
     _frozen,
     _least_offdiagonal,
+    _max_abs,
+    _sums,
     as_dense,
     from_offdiagonal_rates,
     probability_vector,
@@ -98,18 +102,28 @@ def decompose(gen: GeneratorMatrix) -> FlowDecomposition:
     if gen._decomposition is not None:
         return gen._decomposition
     pi = stationary_solve(gen)
-    F = gen.q * pi.p[np.newaxis, :]
-    S = (F + F.T) / 2.0
-    A = (F - F.T) / 2.0
+    F = _flow(gen.q, pi.p)
+    FT = F.T.tocsr() if issparse(F) else F.T
+    S = (F + FT) / 2.0
+    A = (F - FT) / 2.0
     d = FlowDecomposition(pi=pi, F=F, S=S, A=A)
     _check_flow_invariants(d)
     object.__setattr__(gen, "_decomposition", d)
     return d
 
 
+def _flow(q, pi: np.ndarray):
+    """The flow matrix ``F[i, j] = q[i, j] * pi[j]``: dense, or CSR on the
+    pattern of a CSR ``q``."""
+    if issparse(q):
+        return csr_array((q.data * pi[q.indices], q.indices, q.indptr),
+                         shape=q.shape)
+    return q * pi[np.newaxis, :]
+
+
 def _check_flow_invariants(d: FlowDecomposition):
     F, S, A = d.F, d.S, d.A
-    scale = max(abs(F).max(), 1e-300)
+    scale = max(_max_abs(F), 1e-300)
     tol = FLOW_RTOL * scale
     least, i, j = _least_offdiagonal(F)
     if least < -tol:
@@ -117,8 +131,8 @@ def _check_flow_invariants(d: FlowDecomposition):
             f"flow invariant violated: F[{i},{j}] = {least:.3g} < 0"
         )
     for name, m in (("F", F), ("S", S), ("A", A)):
-        worst_row = np.abs(m.sum(axis=1)).max()
-        worst_col = np.abs(m.sum(axis=0)).max()
+        worst_row = np.abs(_sums(m, axis=1)).max()
+        worst_col = np.abs(_sums(m, axis=0)).max()
         if max(worst_row, worst_col) > tol:
             raise RowSumViolation(
                 f"zero-sum invariant violated for {name}: worst row/column sum "

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import coo_array, csc_array, issparse
+from scipy.sparse import csr_array, issparse
 from scipy.sparse.linalg import splu
 
-from .core import GeneratorMatrix, ProbabilityVector, as_dense
+from .core import GeneratorMatrix, ProbabilityVector, _max_abs, as_dense
 from .errors import Overflow, SingularBeyondNullity
 
 # Residual contract for the linear-solve path, relative to max|q|.
@@ -66,7 +66,7 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
         return gen._pi
     q = gen.q
     n = gen.n
-    scale = abs(q).max()
+    scale = _max_abs(q)
     sparse = issparse(q)
     if sparse:
         # one Jacobi step from uniform weights, in / out rate, guesses the
@@ -75,11 +75,16 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
         with np.errstate(divide="ignore", invalid="ignore"):
             guess = (q.sum(axis=1) + exits) / exits
         k = int(np.argmax(np.fmax(guess, 0.0)))
-        c = coo_array(q)
-        keep = c.row != k
-        m = csc_array((np.append(c.data[keep], 1.0),
-                       (np.append(c.row[keep], k), np.append(c.col[keep], k))),
-                      shape=(n, n))
+        # row k of the CSR arrays spliced out for the anchor entry, then
+        # one CSC copy for SuperLU
+        lo, hi = q.indptr[k], q.indptr[k + 1]
+        m = csr_array((
+            np.concatenate([q.data[:lo], [1.0], q.data[hi:]]),
+            np.concatenate([q.indices[:lo], [k], q.indices[hi:]],
+                           dtype=q.indices.dtype),
+            np.concatenate([q.indptr[:k + 1], q.indptr[k + 1:] - (hi - lo - 1)],
+                           dtype=q.indptr.dtype),
+        ), shape=(n, n)).tocsc()
         try:
             # minimum degree on the structure of m + m^T: column AMD fills
             # 1.7x more at grid 64 and factors 1.5x slower

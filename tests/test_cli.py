@@ -386,6 +386,31 @@ def test_malformed_problem_exits_2(problem, invariant, tmp_path, capsys):
     assert invariant in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem, invariant", [
+    ({"gamma": None}, "problem invariant violated: gamma must be numbers"),
+    ({"gamma": True}, "problem invariant violated: gamma must be numbers"),
+    ({"gamma": [[0.5] * 3 + [False]] * 4},
+     "problem invariant violated: gamma must be numbers"),
+    ({"gamma": float("inf")}, "problem invariant violated: gamma must be finite"),
+    ({"gamma": [[0.5] * 3 + [float("nan")]] * 4},
+     "problem invariant violated: gamma must be finite"),
+    ({"gamma": [1, 2]},
+     "problem invariant violated: gamma must be a scalar or (4, 4), got shape (2,)"),
+    ({"D": None}, "problem invariant violated: D must be numbers"),
+    ({"D": [[1, 0], [0, True]]}, "problem invariant violated: D must be numbers"),
+    ({"D": [[1, 0], [0, float("-inf")]]}, "problem invariant violated: D must be finite"),
+    ({"D": [1, 0, 0, 1]}, "problem invariant violated: D must be 2x2"),
+], ids=["gamma-null", "gamma-true", "gamma-false-sample", "gamma-inf", "gamma-nan-sample",
+        "gamma-shape", "D-null", "D-true", "D-inf", "D-shape"])
+def test_field_that_is_not_finite_numbers_exits_2(problem, invariant, tmp_path, capsys):
+    # JSON reads 1e400 as inf; numpy would read true as 1.0 and null as NaN
+    path = tmp_path / "fpe.json"
+    path.write_text(json.dumps(problem).replace("Infinity", "1e400"))
+    assert main(["continuum", "--problem", str(path), "--grid", "4",
+                 "--refine", "1"]) == 2
+    assert invariant in capsys.readouterr().err
+
+
 def test_over_cap_refinement_exits_before_any_level(tmp_path, capsys):
     # grids 64, 128, 256 and 512: the last is past the cell cap, and the
     # study refuses it before it assembles the first level

@@ -23,6 +23,7 @@ from markov_flow.errors import (
 )
 from markov_flow.core import (
     DENSE_MAX_STATES,
+    GeneratorMatrix,
     _strongly_connected,
     _support_classes,
     as_dense,
@@ -280,6 +281,87 @@ def test_csr_generator_matches_dense():
         )
     with pytest.raises(ValueError):
         sparse.q.data[0] = 1.0
+
+
+# rows 0 and 3 lie wholly right of the diagonal, rows 2 and 4 wholly left;
+# -1e-15 is a round-off negative, tolerated and dropped
+AWKWARD_RATES = np.array([
+    [0.0, 0.5, 0.0, 0.25, 1.5],
+    [0.75, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 1.25, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 2.0],
+    [0.0, 0.0, 1.0, 3.0, 0.0],
+])
+AWKWARD_RATES[1, 3] = -1e-15 * 3.0
+
+
+def _awkward_csr(rates):
+    """A CSR array of ``rates`` with every row's indices reversed, each value
+    split into two stored halves, explicit zeros in the empty slots of the
+    first two rows, and a stored diagonal that the builder must ignore."""
+    n = rates.shape[0]
+    data, indices, indptr = [], [], [0]
+    for i in range(n):
+        for j in reversed(range(n)):
+            if rates[i, j] != 0.0:
+                data += [rates[i, j] / 2.0, rates[i, j] / 2.0]
+                indices += [j, j]
+            elif i == j:
+                data.append(7.0)
+                indices.append(j)
+            elif i < 2:
+                data.append(0.0)
+                indices.append(j)
+        indptr.append(len(data))
+    return csr_array((np.array(data), np.array(indices), np.array(indptr)),
+                     shape=(n, n))
+
+
+@pytest.mark.parametrize("form", [
+    csr_array,
+    _awkward_csr,
+    lambda rates: csr_array(rates).tocoo(),
+], ids=["canonical", "unsorted-duplicates-zeros", "coo"])
+def test_csr_rates_build_the_dense_generator_bit_for_bit(form):
+    dense = from_offdiagonal_rates(AWKWARD_RATES).q
+    raw = form(AWKWARD_RATES)
+    before = raw.copy()
+    q = from_offdiagonal_rates(raw).q
+    assert isinstance(q, csr_array) and q.has_canonical_format
+    assert q.toarray().tobytes() == dense.tobytes()
+    # stored: each row's positive rates and its diagonal, nothing else
+    assert q.nnz == np.count_nonzero(dense)
+    assert not q.data.flags.writeable
+    with pytest.raises(ValueError):
+        q.data[0] = 1.0
+    # the input is read, not reordered or summed in place
+    for name in ("data", "indices", "indptr") if raw.format == "csr" else ():
+        assert getattr(raw, name).tobytes() == getattr(before, name).tobytes()
+
+
+def test_canonical_csr_generator_is_frozen_without_a_copy():
+    raw = csr_array(from_offdiagonal_rates(AWKWARD_RATES).q)
+    q = validate_generator(raw).q
+    assert raw.data.flags.writeable        # validation copies the caller's array
+    assert GeneratorMatrix(q).q is q       # and nothing copies it again
+
+
+@pytest.mark.parametrize("link", [0.0, -1e-15], ids=["explicit-zero", "tiny-negative"])
+def test_csr_link_that_is_not_a_rate_leaves_the_chain_reducible(link):
+    # classes {0, 1} and {2, 3}: the rate 0 -> 2 is positive, and the
+    # stored entry for 2 -> 0 carries no rate
+    q = np.array([
+        [-2.0, 1.0, link, 0.0],
+        [1.0, -1.0, 0.0, 0.0],
+        [1.0, 0.0, -1.0 - link, 1.0],
+        [0.0, 0.0, 1.0, -1.0],
+    ])
+    stored = q != 0.0
+    stored[0, 2] = True
+    raw = csr_array((q[stored], np.nonzero(stored)), shape=(4, 4))
+    assert raw.nnz == 10
+    with pytest.raises(Reducible, match=r"closed classes \[\[2, 3\]\]"):
+        validate_generator(raw)
 
 
 def test_as_dense_caps_sparse_operands():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
+from scipy.sparse import csr_array
 
 from markov_flow import (
     compose,
@@ -27,6 +28,7 @@ from markov_flow.errors import (
     MarkovFlowError,
     NotAntisymmetric,
     NotBalanced,
+    RowSumViolation,
 )
 
 from helpers import (
@@ -285,6 +287,37 @@ def test_flow_invariants_reject_circulation_with_diagonal():
     d = FlowDecomposition(pi=ProbabilityVector(np.array([0.5, 0.5])), F=s + a, S=s, A=a)
     with pytest.raises(NotAntisymmetric, match="nonzero diagonal"):
         _check_flow_invariants(d)
+
+
+def test_csr_split_is_the_dense_arithmetic_bit_for_bit():
+    gen = random_generator(np.random.default_rng(11), 12, density=0.3)
+    d = decompose(GeneratorMatrix(csr_array(gen.q)))
+    F = gen.q * d.pi.p[np.newaxis, :]
+    for name, expected in (("F", F), ("S", (F + F.T) / 2.0), ("A", (F - F.T) / 2.0)):
+        part = getattr(d, name)
+        assert isinstance(part, csr_array) and part.has_canonical_format, name
+        assert part.toarray().tobytes() == expected.tobytes(), name
+        assert not part.data.flags.writeable, name
+
+
+def _csr_split(s, a):
+    """An unchecked CSR decomposition with parts ``s`` and ``a``."""
+    pi = ProbabilityVector(np.full(s.shape[0], 1.0 / s.shape[0]))
+    return FlowDecomposition(pi=pi, F=csr_array(s + a), S=csr_array(s), A=csr_array(a))
+
+
+def test_csr_flow_invariants_reject_a_row_sum_error():
+    s = np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]])
+    s[0, 1] = s[1, 0] = 1.5         # symmetric, but rows 0 and 1 sum to 0.5
+    with pytest.raises(RowSumViolation, match="zero-sum invariant violated for F"):
+        _check_flow_invariants(_csr_split(s, np.zeros((3, 3))))
+
+
+def test_csr_flow_invariants_reject_circulation_with_diagonal():
+    s = np.array([[-2.0, 2.0], [2.0, -2.0]])
+    a = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    with pytest.raises(NotAntisymmetric, match="nonzero diagonal"):
+        _check_flow_invariants(_csr_split(s, a))
 
 
 def test_dof_examples():
