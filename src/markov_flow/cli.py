@@ -291,6 +291,11 @@ def _cmd_continuum(args) -> int:
         )
     domain = conf.get("domain", [[-3.0, 3.0], [-3.0, 3.0]])
     phi = conf.get("phi", "quadratic")
+    if not isinstance(phi, str):
+        raise ValueError(
+            'problem invariant violated: phi must be a catalog tag or '
+            '"custom_samples"'
+        )
     if phi == "custom_samples":
         if "phi_samples" not in conf:
             raise ValueError(

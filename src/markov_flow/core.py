@@ -19,8 +19,9 @@ continuum stencil's sorted rates and merges each row's diagonal into
 place, and every check reads ``.data``, ``.indices`` and ``.indptr``
 directly.  :func:`validate_generator` copies its input once, since the
 caller keeps it, and :class:`GeneratorMatrix` freezes a canonical CSR array
-without copying it again.  The stationary solve splices its anchor row
-into the CSR arrays and hands SuperLU one CSC copy; the flow split
+without copying it again.  The stationary solve takes a reversible
+chain's ``pi`` from rate ratios on its arrays, and otherwise splices its
+anchor row into them and hands SuperLU one CSC copy; the flow split
 computes ``F`` on ``q``'s pattern and its parts by one transpose and two
 sparse sums.
 

@@ -7,8 +7,13 @@ the replacement row.  A CSR generator is factored by SuperLU
 (``scipy.sparse.linalg.splu``) with the unit anchor row ``pi_k = 1`` and
 normalized afterwards: a row of ones is dense, and SuperLU's fill and time
 grow with it (W. J. Stewart, *Introduction to the Numerical Solution of
-Markov Chains*, 1994, ch. 2).  Both refine the solution twice and share one
-residual and positivity contract, measured on the returned ``pi``.
+Markov Chains*, 1994, ch. 2).  Both refine the solution twice.  A CSR chain
+in detailed balance needs no factorization: its ``pi`` is the product of
+the rate ratios ``q[j, i] / q[i, j]`` along a spanning tree of its support,
+O(nnz) and accurate relative to every entry, accepted only once every edge
+balances; any other CSR chain falls through to SuperLU.  Every ``pi``
+meets one residual and positivity contract, measured on the returned
+vector.
 ``stationary_tree`` is the oracle: Grassmann-Taksar-Heyman state reduction
 (Oper. Res. 33(5), 1985), which computes the spanning-tree weights of the
 Markov chain tree theorem by censoring one state at a time,
@@ -23,13 +28,16 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 from scipy.sparse import csr_array, issparse
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import splu
 
-from .core import GeneratorMatrix, ProbabilityVector, _max_abs, as_dense
+from .core import GeneratorMatrix, ProbabilityVector, _entry_rows, _max_abs, as_dense
 from .errors import Overflow, SingularBeyondNullity
 
 # Residual contract for the linear-solve path, relative to max|q|.
 RESIDUAL_RTOL = 1e-10
+# a reversible CSR chain's two flows on each edge agree to this, relative
+DETAILED_BALANCE_RTOL = 1e-12
 # GTH's back-substitution rescales its weights once one passes this
 TREE_RESCALE = 2.0 ** 512
 
@@ -49,6 +57,13 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
     summed, so the sum cannot overflow.  Two steps of iterative refinement
     push the residual to round-off so that downstream flow matrices inherit
     row sums at the 1e-14 scale rather than the bare solver tolerance.
+
+    A CSR generator is first tried as a reversible chain: its weights are
+    the products of ``q[j, i] / q[i, j]`` along a breadth-first spanning
+    tree rooted at ``k``, kept only if the support is symmetric and positive,
+    every weight is finite and positive, and the two flows of every edge
+    agree to ``DETAILED_BALANCE_RTOL`` of the larger.  Otherwise, and so on
+    every chain that breaks detailed balance, SuperLU runs as above.
 
     The result is stored on ``gen``, so every later call on the same
     generator returns the same :class:`ProbabilityVector` without solving
@@ -75,6 +90,9 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
         with np.errstate(divide="ignore", invalid="ignore"):
             guess = (q.sum(axis=1) + exits) / exits
         k = int(np.argmax(np.fmax(guess, 0.0)))
+        pi = _reversible_pi(q, k)
+        if pi is not None:
+            return _accepted(gen, pi, scale, q)
         # row k of the CSR arrays spliced out for the anchor entry, then
         # one CSC copy for SuperLU
         lo, hi = q.indptr[k], q.indptr[k + 1]
@@ -115,6 +133,15 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
                 break
             pi = pi + correction
 
+    return _accepted(gen, pi, scale, m)
+
+
+def _accepted(gen: GeneratorMatrix, pi: np.ndarray, scale: float,
+              m) -> ProbabilityVector:
+    """``pi`` normalized and stored on ``gen`` once it is finite and positive
+    and meets the residual contract; ``m`` is the matrix it solves, named in
+    the refusals.  A sparse ``pi`` is scaled to ``max pi = 1`` before its
+    mass is summed, so the sum cannot overflow."""
     if not np.isfinite(pi).all():
         raise _residual(np.inf, scale, m)
     if pi.min() <= 0.0:
@@ -123,14 +150,63 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
             f"positivity invariant violated: pi[{i}] = {pi[i]:.3g} <= 0 despite "
             f"irreducibility (condition estimate {_cond_estimate(m)})"
         )
-    if sparse:
+    if issparse(m):
         pi = pi / pi.max()
     pi = ProbabilityVector(pi / pi.sum())
-    residual = np.abs(q @ pi.p).max()
+    residual = np.abs(gen.q @ pi.p).max()
     if residual > RESIDUAL_RTOL * scale:
         raise _residual(residual, scale, m)
     object.__setattr__(gen, "_pi", pi)
     return pi
+
+
+def _reversible_pi(q, root: int):
+    """The stationary weights of a reversible CSR ``q`` relative to
+    ``pi[root]``, or ``None`` when ``q`` is not reversible.
+
+    Detailed balance fixes ``pi_i / pi_j = q[i, j] / q[j, i]`` on every
+    edge, so the weights are products of rate ratios along any spanning tree
+    of the support (Kelly, *Reversibility and Stochastic Networks*, 1979).
+    The support must be symmetric with every stored off-diagonal rate
+    positive: the transpose of ``q`` in canonical CSR then has ``q``'s
+    pattern and holds ``q[j, i]`` where ``q`` holds ``q[i, j]``.  A
+    breadth-first tree from ``root`` gives every state its parent, and
+    pointer doubling multiplies the ratios up to the root in O(n log depth).
+    Every edge's two flows must then agree to ``DETAILED_BALANCE_RTOL`` of
+    the larger.  An asymmetric or disconnected support, a weight that is not
+    finite and positive, or a failed edge returns ``None``.
+    """
+    n = q.shape[0]
+    qt = q.T.tocsr()
+    if not (np.array_equal(q.indptr, qt.indptr)
+            and np.array_equal(q.indices, qt.indices)):
+        return None
+    rows = _entry_rows(q)
+    off = q.indices != rows
+    if not (q.data[off] > 0.0).all():
+        return None
+    order, parent = breadth_first_order(q, root, return_predecessors=True)
+    if order.size < n:
+        return None
+    parent[root] = root
+    # each state but the root holds one entry in its parent's column
+    at = np.flatnonzero(off & (q.indices == parent[rows]))
+    w = np.ones(n)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # w[j] = pi_j / pi_parent[j], until every parent is the root
+        w[rows[at]] = q.data[at] / qt.data[at]
+        while (parent != root).any():
+            w *= w[parent]
+            parent = parent[parent]
+        if not (np.isfinite(w).all() and w.min() > 0.0):
+            return None
+        # F[i, j] and F[j, i] at each slot; on the diagonal they are one
+        # number, and abs() keeps its tolerance nonnegative
+        flow, back = q.data * w[q.indices], qt.data * w[rows]
+        if (np.abs(flow - back)
+                > DETAILED_BALANCE_RTOL * np.abs(np.maximum(flow, back))).any():
+            return None
+    return w
 
 
 def _residual(residual, scale, m) -> SingularBeyondNullity:

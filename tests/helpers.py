@@ -1,6 +1,8 @@
 """Shared builders for randomized test sweeps, and the tests' oracles."""
 
+import importlib
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -165,6 +167,14 @@ def _find_cycle(w):
             on_path[nxt] = len(stack) - 1
             iters.append(iter(np.flatnonzero(w[nxt] > 0.0).tolist()))
     return None
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``name`` in the module ``module`` in a mock that counts its calls."""
+    target = importlib.import_module(module)
+    calls = mock.Mock(wraps=getattr(target, name))
+    monkeypatch.setattr(target, name, calls)
+    return calls
 
 
 class StepTooLarge(MarkovFlowError):

@@ -354,6 +354,9 @@ def test_refinement_without_levels_exits_2(refine, tmp_path, capsys):
     assert not out.exists()
 
 
+PHI_NOT_A_TAG = 'problem invariant violated: phi must be a catalog tag or "custom_samples"'
+
+
 @pytest.mark.parametrize("problem, invariant", [
     ([1, 2], "problem invariant violated"),
     ("quadratic", "problem invariant violated"),
@@ -377,6 +380,9 @@ def test_refinement_without_levels_exits_2(refine, tmp_path, capsys):
     ({"gamma": "abc"}, "problem invariant violated: gamma must be numbers"),
     ({"D": {"x": 1}}, "problem invariant violated: D must be numbers"),
     ({"D": [[1, "x"], [0, 1]]}, "problem invariant violated: D must be numbers"),
+    ({"phi": [[0.0] * 4] * 4}, PHI_NOT_A_TAG),
+    ({"phi": 5}, PHI_NOT_A_TAG),
+    ({"phi": [1, 2]}, PHI_NOT_A_TAG),
 ])
 def test_malformed_problem_exits_2(problem, invariant, tmp_path, capsys):
     path = tmp_path / "fpe.json"

@@ -1,6 +1,4 @@
-import importlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +27,7 @@ from markov_flow.instances import shannon_nonmonotone, three_cycle, two_state
 
 from helpers import (
     StepTooLarge,
+    count_calls,
     random_birth_death,
     random_generator,
     random_probability,
@@ -77,13 +76,6 @@ def test_integrators_agree():
     assert worst <= 1e-8, worst
 
 
-def count_calls(monkeypatch, name):
-    evolve_module = importlib.import_module("markov_flow.evolve")
-    calls = mock.Mock(wraps=getattr(evolve_module, name))
-    monkeypatch.setattr(evolve_module, name, calls)
-    return calls
-
-
 @pytest.mark.parametrize("n", [20, 60, 120])
 def test_dense_chain_steps_match_per_point_expm(n, monkeypatch):
     rng = np.random.default_rng(n)
@@ -91,8 +83,8 @@ def test_dense_chain_steps_match_per_point_expm(n, monkeypatch):
     p0 = probability_vector(np.eye(n)[0])
     t_max = 10.0 / lambda2(decompose(gen))
     q_norm = np.abs(gen.q).sum(axis=0).max()
-    expm_calls = count_calls(monkeypatch, "expm")
-    block_calls = count_calls(monkeypatch, "_taylor_block")
+    expm_calls = count_calls(monkeypatch, "markov_flow.evolve", "expm")
+    block_calls = count_calls(monkeypatch, "markov_flow.evolve", "_taylor_block")
     for points in (200, 1000):
         t = np.concatenate([[0.0], np.geomspace(1e-3, t_max, points - 1)])
         block_calls.reset_mock()
@@ -122,7 +114,7 @@ def test_block_takes_a_point_exactly_one_norm_unit_away(monkeypatch):
     assert q_norm * edge == 1.0
     # blocks from 0 and from edge each end exactly 1/||q||_1 past their anchor
     t = np.array([edge / 3.0, edge, 2.0 * edge, 2.5 * edge])
-    block_calls = count_calls(monkeypatch, "_taylor_block")
+    block_calls = count_calls(monkeypatch, "markov_flow.evolve", "_taylor_block")
     traj = evolve(gen, p0, t)
     assert [list(call.args[2]) for call in block_calls.call_args_list] == [
         [edge / 3.0, edge], [edge], [2.5 * edge - 2.0 * edge]
@@ -158,7 +150,7 @@ def test_taylor_step_at_its_norm_limit(n, monkeypatch):
     gen = random_generator(rng, n)
     p0 = probability_vector(np.eye(n)[0])
     h = (n // 18) * (1.0 - 1e-12) / np.abs(gen.q).sum(axis=0).max()
-    expm_calls = count_calls(monkeypatch, "expm")
+    expm_calls = count_calls(monkeypatch, "markov_flow.evolve", "expm")
     traj = evolve(gen, p0, [h])
     assert expm_calls.call_count == 0
     expected = scipy.linalg.expm(gen.q * h) @ p0.p
@@ -179,7 +171,7 @@ def test_metastable_chain_takes_both_steps(monkeypatch):
     lam2 = lambda2(decompose(gen))
     assert 1e-5 < lam2 < 1e-3
     t = np.geomspace(1e-3, 10.0 / lam2, 200)
-    expm_calls = count_calls(monkeypatch, "expm")
+    expm_calls = count_calls(monkeypatch, "markov_flow.evolve", "expm")
     traj = evolve(gen, p0, t)
     assert 0 < expm_calls.call_count < t.size
     for row, tk in zip(traj.states, t):

@@ -9,7 +9,9 @@ from scipy.sparse import csr_array
 from markov_flow import (
     GeneratorMatrix,
     decompose,
+    discretize_fpe,
     dual,
+    fpe_problem,
     from_offdiagonal_rates,
     stationary_solve,
     stationary_tree,
@@ -19,6 +21,7 @@ from markov_flow.errors import SingularBeyondNullity
 
 from helpers import (
     birth_death_pi,
+    count_calls,
     descending_birth_death,
     random_generator,
     wide_rate_generators,
@@ -208,3 +211,66 @@ def test_tree_weights_beyond_double_range_stay_finite():
     np.testing.assert_allclose(pi[normal], (closed / closed.sum())[normal], rtol=1e-12)
     # the chain is reversible, so it is its own dual
     assert np.abs(dual(gen).q - gen.q).max() <= 1e-12 * np.abs(gen.q).max()
+
+
+def test_reversible_csr_pi_is_entrywise_accurate(monkeypatch):
+    # min pi near 1e-20: the spanning-tree product is accurate relative to
+    # every entry, where the anchored LU was only accurate relative to max pi
+    factor = count_calls(monkeypatch, "markov_flow.stationary", "splu")
+    for seed in range(5):
+        gen = descending_birth_death(np.random.default_rng(seed), 40, 20)
+        ref = birth_death_pi(gen)
+        pi = stationary_solve(GeneratorMatrix(csr_array(gen.q))).p
+        assert np.abs(pi / ref - 1.0).max() <= 1e-13
+        assert abs(pi.sum() - 1.0) <= 1e-14
+    assert factor.call_count == 0
+
+
+def test_reversible_csr_fpe_operator_balances_every_edge():
+    # gamma = 0 on [-4, 4]^2: the Gibbs weights fall to 2.4e-8 of their peak
+    gen = discretize_fpe(fpe_problem(((-4.0, 4.0), (-4.0, 4.0)), 16, 16, "quadratic"))
+    pi = stationary_solve(gen).p
+    flow = gen.q.toarray() * pi[np.newaxis, :]
+    edges = (flow > 0.0) & ~np.eye(gen.n, dtype=bool)
+    assert np.array_equal(edges, edges.T)
+    gap = np.abs(flow - flow.T)[edges] / np.maximum(flow, flow.T)[edges]
+    assert gap.max() <= 1e-12
+
+
+def _one_way_chain():
+    # a birth-death chain plus the edge 0 -> 2 without its reverse
+    rates = np.zeros((5, 5))
+    k = np.arange(4)
+    rates[k + 1, k] = 1.0
+    rates[k, k + 1] = 2.0
+    rates[2, 0] = 0.5
+    return csr_array(rates)
+
+
+@pytest.mark.parametrize("rates", [
+    lambda: csr_array(np.roll(np.eye(3), 1, axis=0)),
+    lambda: discretize_fpe(fpe_problem(((-3.0, 3.0), (-3.0, 3.0)), 16, 16,
+                                       "quadratic", "identity", 0.5)).q,
+    _one_way_chain,
+], ids=["3-cycle", "twisted-fpe", "one-way-edge"])
+def test_irreversible_csr_chain_is_factored_once(rates, monkeypatch):
+    gen = from_offdiagonal_rates(rates())
+    factor = count_calls(monkeypatch, "markov_flow.stationary", "splu")
+    pi = stationary_solve(gen).p
+    assert factor.call_count == 1
+    assert np.abs(gen.q @ pi).max() <= 1e-10 * np.abs(gen.q).max()
+
+
+def test_underflowing_tree_weights_fall_back_to_splu(monkeypatch):
+    # pi_i ~ e^(14.6 i) over 60 states spans e^861: the lightest tree weight
+    # is 0 in double precision, and SuperLU refuses the chain as before
+    n = 60
+    k = np.arange(n - 1)
+    rates = np.zeros((n, n))
+    rates[k + 1, k] = np.exp(14.6)
+    rates[k, k + 1] = 1.0
+    gen = from_offdiagonal_rates(csr_array(rates))
+    factor = count_calls(monkeypatch, "markov_flow.stationary", "splu")
+    with pytest.raises(SingularBeyondNullity, match="positivity invariant violated"):
+        stationary_solve(gen)
+    assert factor.call_count == 1
