@@ -424,9 +424,7 @@ def operator_symmetry_report(problem: FpeProblem,
     roles of the reversible and circulating generators.  With this
     weighting a pure-diffusion problem yields an exactly symmetric ``L``.
     The probes are ``polynomial_probes`` with seeds 0 (``f``) and 1
-    (``g``); each part is applied to each probe block once.  The
-    diffusion-only flow ``S_d`` is the flow of the problem re-assembled with
-    ``gamma = 0``; when ``gamma`` is already zero everywhere it is ``d.F``.
+    (``g``); each part is applied to each probe block once.
     """
     if d.n != problem.n:
         raise ValueError(
@@ -443,12 +441,8 @@ def operator_symmetry_report(problem: FpeProblem,
         pairs = (f @ m.T) @ g.T - sign * (f @ (g @ m.T).T)
         return float((np.abs(pairs) / fg).max()) / max(float(sparse_norm(m)), 1e-300)
 
-    if problem.gamma.any():
-        q_d = discretize_fpe(replace(problem, gamma=np.zeros_like(problem.gamma)))
-        s_d = _flow(q_d.q, stationary_solve(q_d).p)
-    else:
-        # d already splits the diffusion-only operator
-        s_d = d.F
+    q_d = discretize_fpe(replace(problem, gamma=np.zeros_like(problem.gamma)))
+    s_d = _flow(q_d.q, stationary_solve(q_d).p)
     l_norm = max(float(sparse_norm(d.F)), 1e-300)
     return OperatorSymmetryReport(
         sym_residual=residual(d.S, 1.0),

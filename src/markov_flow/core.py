@@ -50,6 +50,13 @@ from .errors import (
 COLUMN_SUM_RTOL = 1e-12
 NEGATIVE_RATE_RTOL = 1e-12
 PROBABILITY_ATOL = 1e-12
+# Flow invariants, relative to max|F|; also the one reversibility tolerance:
+# decompose's checks and is_detailed_balance (max|A| <= FLOW_RTOL max|F|) and
+# stationary_solve's spanning-tree pi (each edge's two flows within FLOW_RTOL
+# of the larger) read it.  The per-edge test implies the global one, since
+# |A_ij| = |F_ij - F_ji| / 2, so every tree pi is called balanced; it is
+# stricter because the tree pi must be accurate on every entry.
+FLOW_RTOL = 1e-12
 # the largest CSR operand a dense-only consumer densifies (512 MB per copy)
 DENSE_MAX_STATES = 8192
 

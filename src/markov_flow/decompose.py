@@ -24,6 +24,7 @@ import numpy as np
 from scipy.sparse import csr_array, issparse
 
 from .core import (
+    FLOW_RTOL,
     GeneratorMatrix,
     ProbabilityVector,
     _check_positive,
@@ -48,7 +49,6 @@ from .errors import (
 )
 from .stationary import stationary_solve, stationary_tree
 
-FLOW_RTOL = 1e-12
 # cycle peeling drops residual edges at or below this fraction of max|A|
 CYCLE_DUST_RTOL = 1e-15
 

@@ -31,13 +31,18 @@ from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import splu
 
-from .core import GeneratorMatrix, ProbabilityVector, _entry_rows, _max_abs, as_dense
+from .core import (
+    FLOW_RTOL,
+    GeneratorMatrix,
+    ProbabilityVector,
+    _entry_rows,
+    _max_abs,
+    as_dense,
+)
 from .errors import Overflow, SingularBeyondNullity
 
 # Residual contract for the linear-solve path, relative to max|q|.
 RESIDUAL_RTOL = 1e-10
-# a reversible CSR chain's two flows on each edge agree to this, relative
-DETAILED_BALANCE_RTOL = 1e-12
 # GTH's back-substitution rescales its weights once one passes this
 TREE_RESCALE = 2.0 ** 512
 
@@ -62,8 +67,9 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
     the products of ``q[j, i] / q[i, j]`` along a breadth-first spanning
     tree rooted at ``k``, kept only if the support is symmetric and positive,
     every weight is finite and positive, and the two flows of every edge
-    agree to ``DETAILED_BALANCE_RTOL`` of the larger.  Otherwise, and so on
-    every chain that breaks detailed balance, SuperLU runs as above.
+    agree to ``FLOW_RTOL`` of the larger, the tolerance
+    :func:`is_detailed_balance` also reads.  Otherwise, and so on every
+    chain that breaks detailed balance, SuperLU runs as above.
 
     The result is stored on ``gen``, so every later call on the same
     generator returns the same :class:`ProbabilityVector` without solving
@@ -172,8 +178,8 @@ def _reversible_pi(q, root: int):
     pattern and holds ``q[j, i]`` where ``q`` holds ``q[i, j]``.  A
     breadth-first tree from ``root`` gives every state its parent, and
     pointer doubling multiplies the ratios up to the root in O(n log depth).
-    Every edge's two flows must then agree to ``DETAILED_BALANCE_RTOL`` of
-    the larger.  An asymmetric or disconnected support, a weight that is not
+    Every edge's two flows must then agree to ``FLOW_RTOL`` of the
+    larger.  An asymmetric or disconnected support, a weight that is not
     finite and positive, or a failed edge returns ``None``.
     """
     n = q.shape[0]
@@ -204,7 +210,7 @@ def _reversible_pi(q, root: int):
         # number, and abs() keeps its tolerance nonnegative
         flow, back = q.data * w[q.indices], qt.data * w[rows]
         if (np.abs(flow - back)
-                > DETAILED_BALANCE_RTOL * np.abs(np.maximum(flow, back))).any():
+                > FLOW_RTOL * np.abs(np.maximum(flow, back))).any():
             return None
     return w
 

@@ -1,10 +1,8 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.sparse import issparse
-from scipy.sparse.linalg import norm as sparse_norm
 
 from markov_flow import (
     RELATIVE_GINI,
@@ -381,47 +379,23 @@ def test_refinement_study_reports():
         assert lv["sym_residual"] <= 1e-12
 
 
-def test_gamma_free_study_assembles_each_level_once():
-    # the diffusion-only flow of a gamma = 0 level is the level's own flow:
-    # the report reuses it, to the bits a second assembly and solve give
-    with mock.patch("markov_flow.continuum.discretize_fpe_detailed",
-                    wraps=discretize_fpe_detailed) as assemble:
-        levels = refinement_study(DOMAIN, (8, 16), "quadratic", "identity", 0.0)
-    assert assemble.call_count == 2
-    for lv in levels:
-        prob = fpe_problem(DOMAIN, lv["grid"], lv["grid"], "quadratic")
-        d = decompose(discretize_fpe(prob))
-        s_d = decompose(discretize_fpe(prob)).F
-        assert lv["mismatch"] == float(sparse_norm(d.S - s_d)) / float(sparse_norm(d.F))
-
-
-# refinement_study(DOMAIN, (16, 32), "quadratic", "identity", 0.5), pinned
-# on x86-64 with OpenBLAS: every field but the mismatch comes from the
-# twisted operator's SuperLU solve alone; the mismatch also takes the
-# gamma-free operator's spanning-tree pi, within round-off of an LU solve's
-TWISTED_LEVELS = [
-    {"grid": 16, "n": 256, "l1_error_gibbs": 0.018899583560698124,
-     "clip_fraction": 0.0, "max_circulation_rel": 0.014997157873584643,
-     "sym_residual": 6.051440107684736e-19, "anti_residual": 1.5337212382429245e-18,
-     "mismatch": 0.0054416765539684825},
-    {"grid": 32, "n": 1024, "l1_error_gibbs": 0.004640126001984512,
-     "clip_fraction": 0.0, "max_circulation_rel": 0.007203889552422435,
-     "sym_residual": 2.0350377193049953e-19, "anti_residual": 2.140014413248602e-18,
-     "mismatch": 0.0013239236643976021},
-]
-
-
 def test_twisted_study_factors_once_per_level(monkeypatch):
     # only the twisted operator needs SuperLU; its gamma-free twin is
-    # reversible and takes the spanning-tree pi
+    # reversible and takes the spanning-tree pi.  The reference refuses
+    # every tree, so it factors both operators of each level with SuperLU
     factor = count_calls(monkeypatch, "markov_flow.stationary", "splu")
     levels = refinement_study(DOMAIN, (16, 32), "quadratic", "identity", 0.5)
     assert factor.call_count == 2
-    for lv, pinned in zip(levels, TWISTED_LEVELS, strict=True):
-        assert lv.keys() == pinned.keys()
-        assert abs(lv["mismatch"] - pinned["mismatch"]) <= 1e-12 * pinned["mismatch"]
+    monkeypatch.setattr("markov_flow.stationary._reversible_pi",
+                        lambda q, root: None)
+    reference = refinement_study(DOMAIN, (16, 32), "quadratic", "identity", 0.5)
+    assert factor.call_count == 6
+    for lv, ref in zip(levels, reference, strict=True):
+        # every field but the mismatch comes from the twisted operator's
+        # solve alone; the mismatch also takes the gamma-free operator's pi
+        assert abs(lv["mismatch"] - ref["mismatch"]) <= 1e-12 * ref["mismatch"]
         assert {k: v for k, v in lv.items() if k != "mismatch"} \
-            == {k: v for k, v in pinned.items() if k != "mismatch"}
+            == {k: v for k, v in ref.items() if k != "mismatch"}
 
 
 def test_refinement_study_needs_resamplable_fields():
