@@ -215,18 +215,26 @@ def _strongly_connected(q) -> bool:
     """Whether the positive entries of a dense or CSR ``q`` form a strongly
     connected graph.
 
-    The graph is handed to csgraph as a CSR array built from the support
-    directly, which skips the masked-array pass csgraph makes over a dense
-    input.  Its edge ``i -> j`` is the rate ``j -> i``: reversing every edge
-    keeps the strong components, so no transpose is needed.
+    A support with every off-diagonal rate positive is the complete graph,
+    so it is connected without a graph search: only a support with a
+    missing edge goes to csgraph.  That graph is handed over as a CSR array
+    built from the support directly, which skips the masked-array pass
+    csgraph makes over a dense input.  Its edge ``i -> j`` is the rate
+    ``j -> i``: reversing every edge keeps the strong components, so no
+    transpose is needed.
     """
     n = q.shape[0]
+    positive = (q.data if issparse(q) else q) > 0.0
+    count = np.count_nonzero(positive)
+    # a diagonal entry positive within the column-sum tolerance is no edge
+    if (count >= n * (n - 1)
+            and count - np.count_nonzero(q.diagonal() > 0.0) == n * (n - 1)):
+        return True
     if issparse(q):
-        positive = q.data > 0.0
         rows = _entry_rows(q)[positive]
         cols = q.indices[positive]
     else:
-        rows, cols = np.nonzero(q > 0.0)
+        rows, cols = np.nonzero(positive)
     # csgraph walks C-contiguous int32 indices; np.nonzero's are strided
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])

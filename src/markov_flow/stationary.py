@@ -2,18 +2,22 @@
 
 ``stationary_solve`` is the production path: a linear solve of the
 rank-deficient balance system with one balance equation replaced.  A dense
-generator is factored by LAPACK with the normalization ``sum(pi) = 1`` as
-the replacement row.  A CSR generator is factored by SuperLU
-(``scipy.sparse.linalg.splu``) with the unit anchor row ``pi_k = 1`` and
-normalized afterwards: a row of ones is dense, and SuperLU's fill and time
-grow with it (W. J. Stewart, *Introduction to the Numerical Solution of
-Markov Chains*, 1994, ch. 2).  Both refine the solution twice.  A CSR chain
-in detailed balance needs no factorization: its ``pi`` is the product of
-the rate ratios ``q[j, i] / q[i, j]`` along a spanning tree of its support,
-O(nnz) and accurate relative to every entry, accepted only once every edge
-balances; any other CSR chain falls through to SuperLU.  Every ``pi``
-meets one residual and positivity contract, measured on the returned
-vector.
+generator is factored by LAPACK's ``dgetrf`` with the normalization
+``sum(pi) = 1`` as the replacement row and solved by ``dgetrs``, called
+directly: on a chain of a few dozen states scipy's ``lu_factor`` and
+``lu_solve`` wrappers cost more than the routines they call.  A CSR
+generator is factored by SuperLU (``scipy.sparse.linalg.splu``) with the
+unit anchor row ``pi_k = 1`` and normalized afterwards: a row of ones is
+dense, and SuperLU's fill and time grow with it (W. J. Stewart,
+*Introduction to the Numerical Solution of Markov Chains*, 1994, ch. 2).
+Both refine the solution twice.  A CSR chain in detailed balance needs no
+factorization: its ``pi`` is the product of the rate ratios
+``q[j, i] / q[i, j]`` along a spanning tree of its support, O(nnz) and
+accurate relative to every entry, accepted only once every edge balances;
+any other CSR chain falls through to SuperLU.  Every ``pi`` meets one
+residual and positivity contract, measured on the returned vector; a
+refusal of a dense system quotes LAPACK's 1-norm condition estimate
+(``dgecon``) from the factor it already has.
 ``stationary_tree`` is the oracle: Grassmann-Taksar-Heyman state reduction
 (Oper. Res. 33(5), 1985), which computes the spanning-tree weights of the
 Markov chain tree theorem by censoring one state at a time,
@@ -26,7 +30,7 @@ is accurate relative to each entry, LU only relative to ``max pi``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import splu
@@ -36,7 +40,7 @@ from .core import (
     GeneratorMatrix,
     ProbabilityVector,
     _entry_rows,
-    _max_abs,
+    _finite_scale,
     as_dense,
 )
 from .errors import Overflow, SingularBeyondNullity
@@ -52,16 +56,20 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
 
     A dense generator replaces the row with the largest diagonal magnitude
     by the mass constraint ``sum(pi) = 1``, which keeps the modified system
-    well conditioned, and is factored by LAPACK.  A CSR generator replaces
-    one row by the anchor ``pi_k = 1`` and is factored by SuperLU: the
-    anchor adds one entry to the factored matrix where a row of ones adds
-    ``n``.  The anchored solution is ``pi / pi_k``, accurate relative to its
-    largest entry, so ``k`` should be a heavy state: it maximizes the ratio
-    of the rates into and out of a state, one Jacobi step from uniform
-    weights.  The solution is scaled to ``max pi = 1`` before its mass is
-    summed, so the sum cannot overflow.  Two steps of iterative refinement
-    push the residual to round-off so that downstream flow matrices inherit
-    row sums at the 1e-14 scale rather than the bare solver tolerance.
+    well conditioned, and is factored once by LAPACK's ``dgetrf``; the solve
+    and each refinement step are one ``dgetrs``.  These are the routines
+    ``scipy.linalg.lu_factor`` and ``lu_solve`` call, so ``pi`` is the same
+    to the bit; the finiteness scans those wrappers make are replaced by one
+    typed check of ``q``.  A CSR generator replaces one row by the anchor
+    ``pi_k = 1`` and is factored by SuperLU: the anchor adds one entry to
+    the factored matrix where a row of ones adds ``n``.  The anchored
+    solution is ``pi / pi_k``, accurate relative to its largest entry, so
+    ``k`` should be a heavy state: it maximizes the ratio of the rates into
+    and out of a state, one Jacobi step from uniform weights.  The solution
+    is scaled to ``max pi = 1`` before its mass is summed, so the sum cannot
+    overflow.  Two steps of iterative refinement push the residual to
+    round-off so that downstream flow matrices inherit row sums at the
+    1e-14 scale rather than the bare solver tolerance.
 
     A CSR generator is first tried as a reversible chain: its weights are
     the products of ``q[j, i] / q[i, j]`` along a breadth-first spanning
@@ -77,17 +85,21 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
 
     Raises
     ------
+    MarkovFlowError
+        If an entry of ``q`` is not finite (only unvalidated input has one).
     SingularBeyondNullity
         If the modified system is numerically singular, a weight is not
         positive, or the returned ``pi`` leaves a residual
-        ``max|q @ pi|`` above ``1e-10 * max|q|``: each contradicts validated
-        irreducibility and signals severe ill-conditioning.
+        ``max|q @ pi|`` above ``1e-10 * max|q|``.  A weight that is zero
+        relative to ``max pi`` means the weights span more than double
+        precision's range, or the chain is reducible; the others signal
+        severe ill-conditioning.
     """
     if gen._pi is not None:
         return gen._pi
     q = gen.q
     n = gen.n
-    scale = _max_abs(q)
+    scale = _finite_scale(q, "the generator")
     sparse = issparse(q)
     if sparse:
         # one Jacobi step from uniform weights, in / out rate, guesses the
@@ -109,25 +121,25 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
             np.concatenate([q.indptr[:k + 1], q.indptr[k + 1:] - (hi - lo - 1)],
                            dtype=q.indptr.dtype),
         ), shape=(n, n)).tocsc()
+        lu = None
         try:
             # minimum degree on the structure of m + m^T: column AMD fills
             # 1.7x more at grid 64 and factors 1.5x slower
             solve = splu(m, permc_spec="MMD_AT_PLUS_A").solve
         except RuntimeError as exc:
-            raise _singular(exc, m) from exc
+            raise _singular(exc, m, lu) from exc
     else:
         k = int(np.argmax(np.abs(q.diagonal())))
         m = q.copy()
         m[k, :] = 1.0
-        try:
-            lu = scipy.linalg.lu_factor(m)
-        except scipy.linalg.LinAlgError as exc:
-            raise _singular(exc, m) from exc
-        if not np.diagonal(lu[0]).all():
-            raise _singular("the LU factor has a zero pivot", m)
+        # the LAPACK routines lu_factor and lu_solve wrap, without their
+        # finiteness scans (q is checked above) and batching layer
+        lu, piv, info = dgetrf(m)
+        if info:
+            raise _singular("the LU factor has a zero pivot", m, lu)
 
         def solve(rhs):
-            return scipy.linalg.lu_solve(lu, rhs)
+            return dgetrs(lu, piv, rhs)[0]
 
     b = np.zeros(n)
     b[k] = 1.0
@@ -139,29 +151,32 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
                 break
             pi = pi + correction
 
-    return _accepted(gen, pi, scale, m)
+    return _accepted(gen, pi, scale, m, lu)
 
 
 def _accepted(gen: GeneratorMatrix, pi: np.ndarray, scale: float,
-              m) -> ProbabilityVector:
+              m, lu=None) -> ProbabilityVector:
     """``pi`` normalized and stored on ``gen`` once it is finite and positive
-    and meets the residual contract; ``m`` is the matrix it solves, named in
-    the refusals.  A sparse ``pi`` is scaled to ``max pi = 1`` before its
-    mass is summed, so the sum cannot overflow."""
+    and meets the residual contract; ``m`` is the matrix it solves and ``lu``
+    its dense LU factor, both named in the refusals.  A sparse ``pi`` is
+    scaled to ``max pi = 1`` before its mass is summed, so the sum cannot
+    overflow."""
     if not np.isfinite(pi).all():
-        raise _residual(np.inf, scale, m)
+        raise _residual(np.inf, scale, m, lu)
     if pi.min() <= 0.0:
         i = int(np.argmin(pi))
         raise SingularBeyondNullity(
-            f"positivity invariant violated: pi[{i}] = {pi[i]:.3g} <= 0 despite "
-            f"irreducibility (condition estimate {_cond_estimate(m)})"
+            f"positivity invariant violated: pi[{i}] = {pi[i]:.3g} <= 0, zero "
+            f"relative to max pi = {pi.max():.3g}: either the weights span more "
+            "than double precision's range, or the chain is reducible "
+            f"(condition estimate {_cond_estimate(m, lu)})"
         )
     if issparse(m):
         pi = pi / pi.max()
     pi = ProbabilityVector(pi / pi.sum())
     residual = np.abs(gen.q @ pi.p).max()
     if residual > RESIDUAL_RTOL * scale:
-        raise _residual(residual, scale, m)
+        raise _residual(residual, scale, m, lu)
     object.__setattr__(gen, "_pi", pi)
     return pi
 
@@ -215,27 +230,29 @@ def _reversible_pi(q, root: int):
     return w
 
 
-def _residual(residual, scale, m) -> SingularBeyondNullity:
+def _residual(residual, scale, m, lu) -> SingularBeyondNullity:
     return SingularBeyondNullity(
         "stationary residual invariant violated: "
         f"max|q @ pi| = {residual:.3g} exceeds {RESIDUAL_RTOL * scale:.3g} "
-        f"(condition estimate {_cond_estimate(m)})"
+        f"(condition estimate {_cond_estimate(m, lu)})"
     )
 
 
-def _singular(detail, m) -> SingularBeyondNullity:
+def _singular(detail, m, lu) -> SingularBeyondNullity:
     return SingularBeyondNullity(
         f"nullity invariant violated: the stationary system is singular: "
-        f"{detail} (condition estimate {_cond_estimate(m)})"
+        f"{detail} (condition estimate {_cond_estimate(m, lu)})"
     )
 
 
-def _cond_estimate(m) -> str:
-    if issparse(m):
+def _cond_estimate(m, lu) -> str:
+    """LAPACK's 1-norm estimate of ``cond(m)`` from its LU factor ``lu``
+    (``dgecon``, O(n^2)); ``inf`` for a zero pivot."""
+    if lu is None:
         return "unavailable for sparse input"
-    if m.shape[0] > 500:
-        return "unavailable at this size"
-    return f"{np.linalg.cond(m):.3g}"
+    rcond, _ = dgecon(lu, np.abs(m).sum(axis=0).max())
+    with np.errstate(divide="ignore"):
+        return f"{np.divide(1.0, rcond):.3g}"
 
 
 def stationary_tree(gen: GeneratorMatrix) -> ProbabilityVector:

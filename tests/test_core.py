@@ -29,7 +29,7 @@ from markov_flow.core import (
     as_dense,
 )
 
-from helpers import random_generator
+from helpers import count_calls, random_generator
 
 
 def test_minimal_two_state_generator():
@@ -266,6 +266,27 @@ def test_strong_connectivity_agrees_with_support_classes(edges):
     stored_zeros = csr_array((q.ravel(), (rows, cols)), shape=(n, n))
     for form in (q, csr_array(q), stored_zeros):
         assert _strongly_connected(form) == expected
+
+
+@pytest.mark.parametrize("form", [np.array, csr_array], ids=["dense", "csr"])
+def test_complete_support_needs_no_graph_search(form, monkeypatch):
+    search = count_calls(monkeypatch, "markov_flow.core", "connected_components")
+    rates = np.random.default_rng(7).uniform(0.2, 2.0, (6, 6))
+    np.fill_diagonal(rates, 0.0)
+
+    def generator():
+        return form(rates - np.diag(rates.sum(axis=0)))
+
+    validate_generator(generator())
+    assert search.call_count == 0
+    # one missing rate: csgraph decides, and the chain is still irreducible
+    rates[2, 4] = 0.0
+    validate_generator(generator())
+    assert search.call_count == 1
+    # no rate out of state 0: absorbing
+    rates[:, 0] = 0.0
+    with pytest.raises(Reducible):
+        validate_generator(generator())
 
 
 def test_csr_generator_matches_dense():

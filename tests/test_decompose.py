@@ -1,9 +1,7 @@
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, given, settings
 from scipy.sparse import csr_array
 
@@ -32,6 +30,7 @@ from markov_flow.errors import (
 )
 
 from helpers import (
+    count_calls,
     dfs_cycle_peel,
     random_birth_death,
     random_circulation,
@@ -235,6 +234,18 @@ def test_detailed_balance_three_cycle_fails():
     np.testing.assert_allclose(report.max_pairwise_violation, 1 / 3, atol=1e-14)
 
 
+@pytest.mark.parametrize("form", [np.array, csr_array], ids=["dense", "csr"])
+def test_pairwise_violation_is_twice_the_circulation(form):
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        n = int(rng.integers(2, 30))
+        q = random_generator(rng, n, density=float(rng.uniform(0.3, 1.0))).q
+        gen = validate_generator(form(q))
+        d = decompose(gen)
+        report = is_detailed_balance(gen)
+        assert report.max_pairwise_violation == abs(d.F - d.F.T).max()
+
+
 def test_detailed_balance_birth_death_holds():
     rng = np.random.default_rng(41)
     for _ in range(10):
@@ -255,8 +266,7 @@ def test_decomposition_is_stored_on_the_generator():
 
 
 def test_detailed_balance_reuses_the_decomposition(monkeypatch):
-    factor = mock.Mock(wraps=scipy.linalg.lu_factor)
-    monkeypatch.setattr(scipy.linalg, "lu_factor", factor)
+    factor = count_calls(monkeypatch, "markov_flow.stationary", "dgetrf")
     gen = random_generator(np.random.default_rng(47), 6)
     d = decompose(gen)
     report = is_detailed_balance(gen)

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from markov_flow import (
     stationary_tree,
     validate_generator,
 )
-from markov_flow.errors import SingularBeyondNullity
+from markov_flow.errors import MarkovFlowError, SingularBeyondNullity
 
 from helpers import (
     birth_death_pi,
@@ -94,7 +95,6 @@ METHODS = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 @METHODS
 def test_singular_detection_on_unvalidated_input(method):
     # two closed blocks: null space is two-dimensional; the direct
@@ -116,7 +116,6 @@ def test_absorbing_unvalidated_input(method):
         method(GeneratorMatrix(q))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 @pytest.mark.parametrize("q, invariant", [
     ([[-1.0, 2.0, 0.0, 0.0], [1.0, -2.0, 0.0, 0.0],
       [0.0, 0.0, -3.0, 1.0], [0.0, 0.0, 3.0, -1.0]], "nullity"),
@@ -131,9 +130,67 @@ def test_csr_singular_input_fails_like_dense(q, invariant):
         assert str(exc.value).startswith(f"{invariant} invariant violated")
 
 
+def _wrapper_pi(q):
+    """The dense solve through scipy's ``lu_factor``/``lu_solve`` wrappers,
+    with the same anchor row and two refinement steps."""
+    k = int(np.argmax(np.abs(q.diagonal())))
+    m = q.copy()
+    m[k, :] = 1.0
+    lu = scipy.linalg.lu_factor(m)
+    b = np.zeros(q.shape[0])
+    b[k] = 1.0
+    pi = scipy.linalg.lu_solve(lu, b)
+    for _ in range(2):
+        pi = pi + scipy.linalg.lu_solve(lu, b - m @ pi)
+    return pi / pi.sum()
+
+
+def test_dense_solve_is_bit_equal_to_the_scipy_wrappers():
+    # dgetrf/dgetrs are the routines the wrappers call: same bits
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
+        edges = rng.random((n, n)) < rng.uniform(0.2, 1.0)
+        edges |= np.roll(np.eye(n, dtype=bool), 1, axis=0)
+        rates = np.where(edges, 10.0 ** rng.uniform(-4.0, 4.0, (n, n)), 0.0)
+        np.fill_diagonal(rates, 0.0)
+        gen = from_offdiagonal_rates(rates)
+        assert stationary_solve(gen).p.tobytes() == _wrapper_pi(gen.q).tobytes()
+
+
+@pytest.mark.parametrize("form", [np.array, csr_array], ids=["dense", "csr"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_unvalidated_non_finite_generator_is_refused_by_name(form, value):
+    q = random_generator(np.random.default_rng(61), 5).q.copy()
+    q[0, 2] = value
+    with pytest.raises(MarkovFlowError, match="finiteness invariant violated"):
+        stationary_solve(GeneratorMatrix(form(q)))
+
+
+@pytest.mark.parametrize("form", [np.array, csr_array], ids=["dense", "csr"])
+@pytest.mark.parametrize("n", [25, 600])
+def test_weights_beyond_double_range_are_named(form, n):
+    # pi_(k+1) / pi_k = 1e-20: the weights span 1e-20^(n-1), past the
+    # smallest double, on an irreducible chain
+    k = np.arange(n - 1)
+    rates = np.zeros((n, n))
+    rates[k + 1, k] = 1e-20
+    rates[k, k + 1] = 1.0
+    gen = from_offdiagonal_rates(form(rates))
+    with pytest.raises(SingularBeyondNullity) as exc:
+        stationary_solve(gen)
+    message = str(exc.value)
+    assert message.startswith("positivity invariant violated")
+    assert "zero relative to max pi" in message
+    assert "span more than double precision's range" in message
+    if form is np.array:
+        # LAPACK's estimate from the solve's factor, at every size
+        estimate = re.search(r"condition estimate ([^)]*)\)", message).group(1)
+        assert np.isfinite(float(estimate)), message
+
+
 def test_solution_is_stored_on_the_generator(monkeypatch):
-    factor = mock.Mock(wraps=scipy.linalg.lu_factor)
-    monkeypatch.setattr(scipy.linalg, "lu_factor", factor)
+    factor = count_calls(monkeypatch, "markov_flow.stationary", "dgetrf")
     gen = random_generator(np.random.default_rng(13), 7)
     pi = stationary_solve(gen)
     assert stationary_solve(gen) is pi
@@ -144,7 +201,6 @@ def test_solution_is_stored_on_the_generator(monkeypatch):
     assert twin.p.tobytes() == pi.p.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 @pytest.mark.parametrize("form", [np.array, csr_array], ids=["dense", "csr"])
 def test_refused_solve_is_not_stored(form):
     gen = GeneratorMatrix(form([
