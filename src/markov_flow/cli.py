@@ -142,12 +142,14 @@ def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
 
 
 def _matrix_from_json(obj, *keys):
+    """The matrix of a bare JSON array, or of the first of ``keys`` in a
+    JSON object, as parsed: :func:`compose` converts and checks it."""
     if isinstance(obj, dict):
         for key in keys:
             if key in obj:
-                return np.asarray(obj[key], dtype=float)
+                return obj[key]
         raise ValueError(f"matrix JSON object needs one of the fields {keys}")
-    return np.asarray(obj, dtype=float)
+    return obj
 
 
 def _decomposition_json(d) -> dict:

@@ -32,8 +32,6 @@ import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.linalg import norm as sparse_norm
 
 from .core import GeneratorMatrix, ProbabilityVector, _max_abs, from_offdiagonal_rates
 from .decompose import FlowDecomposition, _flow, decompose
@@ -333,6 +331,8 @@ def discretize_fpe_detailed(problem: FpeProblem):
     too coarse for the advection strength and the detailed-balance
     structure would be distorted beyond the discretization error.
     """
+    from scipy.sparse import csr_array
+
     phi, dif, gam = problem.phi, problem.diffusion, problem.gamma
     n, ny = problem.n, problem.ny
     ids = np.arange(n, dtype=np.int32).reshape(problem.nx, ny)
@@ -431,6 +431,8 @@ def operator_symmetry_report(problem: FpeProblem,
             f"size invariant violated: decomposition has {d.n} states, "
             f"the {problem.nx}x{problem.ny} grid has {problem.n} cells"
         )
+    from scipy.sparse.linalg import norm as sparse_norm
+
     f = polynomial_probes(problem, seed=0)
     g = polynomial_probes(problem, seed=1)
     fg = np.maximum(np.outer(np.linalg.norm(f, axis=1),

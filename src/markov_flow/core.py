@@ -25,16 +25,23 @@ anchor row into them and hands SuperLU one CSC copy; the flow split
 computes ``F`` on ``q``'s pattern and its parts by one transpose and two
 sparse sums.
 
+``scipy.sparse`` and its graph and solver modules are imported where a CSR
+array is built or read, and by the graph search a support with a missing
+edge needs: a run that meets only dense generators with every off-diagonal
+rate positive never loads them.  :func:`_issparse` answers without the
+import, since no sparse array exists before it.
+
 States are 0-indexed throughout.
 """
 
 from __future__ import annotations
 
+import operator
+import reprlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array, issparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ColumnSumViolation,
@@ -109,13 +116,29 @@ class ProbabilityVector:
         return self.p.shape[0]
 
 
+def _issparse(m) -> bool:
+    """Whether ``m`` is a scipy sparse array or matrix.
+
+    No sparse array can exist before ``scipy.sparse`` is imported, so until
+    then the answer is False and the module stays unloaded.  A dense array
+    is answered first, for a third of ``scipy.sparse.issparse``'s cost: the
+    checks of one small chain ask this dozens of times.
+    """
+    if isinstance(m, np.ndarray):
+        return False
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(m)
+
+
 def _frozen(m):
     """``m`` as a float array, or a canonical CSR array, marked read-only.
 
     A float array or a canonical float CSR array is frozen as it is; any
     other sparse ``m`` is copied into a canonical CSR array first.
     """
-    if issparse(m):
+    if _issparse(m):
+        from scipy.sparse import csr_array
+
         if not (isinstance(m, csr_array) and m.dtype == float
                 and m.has_canonical_format):
             m = csr_array(m, dtype=float, copy=True)
@@ -133,7 +156,7 @@ def as_dense(m) -> np.ndarray:
     A dense ``m`` is returned as it is; a CSR ``m`` is densified, and one
     with more than ``DENSE_MAX_STATES`` rows raises :class:`TooLarge`.
     """
-    if not issparse(m):
+    if not _issparse(m):
         return m
     if m.shape[0] > DENSE_MAX_STATES:
         raise TooLarge(
@@ -146,7 +169,7 @@ def as_dense(m) -> np.ndarray:
 def _max_abs(m) -> float:
     """``max|m|`` of a dense or CSR ``m``, 0 if it has no entries; a CSR
     ``m``'s stored values are read in place."""
-    return abs(m.data if issparse(m) else m).max(initial=0.0)
+    return abs(m.data if _issparse(m) else m).max(initial=0.0)
 
 
 def _finite_scale(m, what: str, error=MarkovFlowError) -> float:
@@ -158,6 +181,18 @@ def _finite_scale(m, what: str, error=MarkovFlowError) -> float:
             f"{float(scale)!r}"
         )
     return scale
+
+
+def _float_array(values, what: str, form: str = "a square array") -> np.ndarray:
+    """A new float array of ``values``; a ragged, string or non-numeric
+    input raises ``ValueError`` saying that ``what`` must be ``form`` of
+    numbers."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{what} must be {form} of numbers, got {reprlib.repr(values)}"
+        ) from None
 
 
 def _check_positive(pi: np.ndarray):
@@ -176,7 +211,7 @@ def probability_vector(values) -> ProbabilityVector:
     more than ``PROBABILITY_ATOL`` raises :class:`InvalidProbability`.
     Round-off negatives are clipped to zero and the vector renormalized.
     """
-    p = np.array(values, dtype=float).reshape(-1)
+    p = _float_array(values, "the probability vector", "an array").reshape(-1)
     if p.size < 1:
         raise InvalidProbability("probability vector is empty")
     _finite_scale(p, "the probability vector", InvalidProbability)
@@ -199,6 +234,8 @@ def _support_classes(adjacency):
     """Communicating classes of the directed support graph, plus the closed
     ones.  ``adjacency`` is dense or sparse, with an entry at ``[u, v]`` iff
     the rate u->v is positive; a class is closed when no edge leaves it."""
+    from scipy.sparse.csgraph import connected_components
+
     n_comp, labels = connected_components(
         adjacency, directed=True, connection="strong"
     )
@@ -224,13 +261,16 @@ def _strongly_connected(q) -> bool:
     transpose is needed.
     """
     n = q.shape[0]
-    positive = (q.data if issparse(q) else q) > 0.0
+    positive = (q.data if _issparse(q) else q) > 0.0
     count = np.count_nonzero(positive)
     # a diagonal entry positive within the column-sum tolerance is no edge
     if (count >= n * (n - 1)
             and count - np.count_nonzero(q.diagonal() > 0.0) == n * (n - 1)):
         return True
-    if issparse(q):
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    if _issparse(q):
         rows = _entry_rows(q)[positive]
         cols = q.indices[positive]
     else:
@@ -272,7 +312,7 @@ def _least(rows, cols, values):
 def _least_offdiagonal(m):
     """``(value, i, j)`` of the least off-diagonal entry of ``m``, dense or
     CSR; the entries a CSR ``m`` does not store count as zeros."""
-    if issparse(m):
+    if _issparse(m):
         return _least(*_offdiagonal(m))
     off = m.copy()
     np.fill_diagonal(off, 0.0)
@@ -284,7 +324,7 @@ def _least_offdiagonal(m):
 def _sums(m, axis: int) -> np.ndarray:
     """Column (``axis=0``) or row (``axis=1``) sums of a dense or CSR ``m``;
     a CSR ``m``'s sums add its stored values in storage order."""
-    if not issparse(m):
+    if not _issparse(m):
         return m.sum(axis=axis)
     keys = m.indices if axis == 0 else _entry_rows(m)
     return np.bincount(keys, weights=m.data, minlength=m.shape[1 - axis])
@@ -316,12 +356,14 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
         positive-rate graph, so the accepted matrices always have a unique,
         strictly positive stationary distribution.
     """
-    sparse = issparse(raw)
+    sparse = _issparse(raw)
     if sparse:
+        from scipy.sparse import csr_array
+
         q = csr_array(raw, dtype=float, copy=True)
         q.sum_duplicates()
     else:
-        q = np.array(raw, dtype=float)
+        q = _float_array(raw, "the generator q")
     _check_square(q, "generator")
     if convention == "row":
         q = q.T.tocsr() if sparse else np.ascontiguousarray(q.T)
@@ -362,15 +404,17 @@ def from_offdiagonal_rates(rates) -> GeneratorMatrix:
     rates give the same generator bit for bit.  A NaN or infinite rate
     raises :class:`MarkovFlowError`.
     """
-    sparse = issparse(rates)
+    sparse = _issparse(rates)
     if sparse:
+        from scipy.sparse import csr_array
+
         # the arrays are only read; a non-canonical input is summed on a copy
         r = csr_array(rates, dtype=float)
         if not r.has_canonical_format:
             r = r.copy()
             r.sum_duplicates()
     else:
-        r = np.array(rates, dtype=float)
+        r = _float_array(rates, "the rates")
     _check_square(r, "rate matrix")
     if sparse:
         rows, cols, values = _offdiagonal(r)
@@ -391,13 +435,15 @@ def from_offdiagonal_rates(rates) -> GeneratorMatrix:
     return validate_generator(r)
 
 
-def _csr_generator(rows, cols, rates, n: int) -> csr_array:
+def _csr_generator(rows, cols, rates, n: int):
     """The CSR generator of off-diagonal ``rates`` at ``(rows, cols)``, given
     in canonical CSR order, with each row's diagonal entry merged into place.
 
     The diagonal is minus the column sums: ``bincount`` adds each column's
     rates in storage order, which is ascending row order.
     """
+    from scipy.sparse import csr_array
+
     diagonal = -np.bincount(cols, weights=rates, minlength=n)
     size = rates.size + n
     # an off-diagonal entry moves right by one slot per earlier row's
@@ -431,10 +477,15 @@ def generator_from_json(obj: dict) -> GeneratorMatrix:
         gen = from_offdiagonal_rates(obj["rates"])
     else:
         raise ValueError("generator JSON needs a 'q' or 'rates' field")
-    if "n" in obj and int(obj["n"]) != gen.n:
-        raise ValueError(
-            f"declared n={obj['n']} does not match matrix size {gen.n}"
-        )
+    if "n" in obj:
+        try:
+            n = operator.index(obj["n"])
+        except TypeError:
+            raise ValueError(
+                f"declared n must be an integer, got {reprlib.repr(obj['n'])}"
+            ) from None
+        if n != gen.n:
+            raise ValueError(f"declared n={n} does not match matrix size {gen.n}")
     return gen
 
 

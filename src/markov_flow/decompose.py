@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array, issparse
 
 from .core import (
     FLOW_RTOL,
@@ -29,7 +28,9 @@ from .core import (
     ProbabilityVector,
     _check_positive,
     _finite_scale,
+    _float_array,
     _frozen,
+    _issparse,
     _least_offdiagonal,
     _max_abs,
     _sums,
@@ -103,7 +104,7 @@ def decompose(gen: GeneratorMatrix) -> FlowDecomposition:
         return gen._decomposition
     pi = stationary_solve(gen)
     F = _flow(gen.q, pi.p)
-    FT = F.T.tocsr() if issparse(F) else F.T
+    FT = F.T.tocsr() if _issparse(F) else F.T
     S = (F + FT) / 2.0
     A = (F - FT) / 2.0
     d = FlowDecomposition(pi=pi, F=F, S=S, A=A)
@@ -115,7 +116,9 @@ def decompose(gen: GeneratorMatrix) -> FlowDecomposition:
 def _flow(q, pi: np.ndarray):
     """The flow matrix ``F[i, j] = q[i, j] * pi[j]``: dense, or CSR on the
     pattern of a CSR ``q``."""
-    if issparse(q):
+    if _issparse(q):
+        from scipy.sparse import csr_array
+
         return csr_array((q.data * pi[q.indices], q.indices, q.indptr),
                          shape=q.shape)
     return q * pi[np.newaxis, :]
@@ -175,8 +178,8 @@ def compose(pi, S, A) -> GeneratorMatrix:
     if not isinstance(pi, ProbabilityVector):
         pi = probability_vector(pi)
     _check_positive(pi.p)
-    S = np.asarray(as_dense(S), dtype=float)
-    A = np.asarray(as_dense(A), dtype=float)
+    S = _float_array(as_dense(S), "S")
+    A = _float_array(as_dense(A), "A")
     n = pi.n
     if S.shape != (n, n) or A.shape != (n, n):
         raise ValueError(

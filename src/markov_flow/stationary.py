@@ -14,7 +14,9 @@ Both refine the solution twice.  A CSR chain in detailed balance needs no
 factorization: its ``pi`` is the product of the rate ratios
 ``q[j, i] / q[i, j]`` along a spanning tree of its support, O(nnz) and
 accurate relative to every entry, accepted only once every edge balances;
-any other CSR chain falls through to SuperLU.  Every ``pi`` meets one
+any other CSR chain falls through to SuperLU.  The sparse modules (csgraph
+for the tree, SuperLU) are imported in the CSR branch only, so a dense
+solve never loads them.  Every ``pi`` meets one
 residual and positivity contract, measured on the returned vector; a
 refusal of a dense system quotes LAPACK's 1-norm condition estimate
 (``dgecon``) from the factor it already has.
@@ -31,9 +33,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
-from scipy.sparse import csr_array, issparse
-from scipy.sparse.csgraph import breadth_first_order
-from scipy.sparse.linalg import splu
 
 from .core import (
     FLOW_RTOL,
@@ -41,6 +40,7 @@ from .core import (
     ProbabilityVector,
     _entry_rows,
     _finite_scale,
+    _issparse,
     as_dense,
 )
 from .errors import Overflow, SingularBeyondNullity
@@ -100,7 +100,7 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
     q = gen.q
     n = gen.n
     scale = _finite_scale(q, "the generator")
-    sparse = issparse(q)
+    sparse = _issparse(q)
     if sparse:
         # one Jacobi step from uniform weights, in / out rate, guesses the
         # heaviest state; 0/0 (unvalidated input) counts as 0
@@ -111,6 +111,9 @@ def stationary_solve(gen: GeneratorMatrix) -> ProbabilityVector:
         pi = _reversible_pi(q, k)
         if pi is not None:
             return _accepted(gen, pi, scale, q)
+        from scipy.sparse import csr_array
+        from scipy.sparse.linalg import splu
+
         # row k of the CSR arrays spliced out for the anchor entry, then
         # one CSC copy for SuperLU
         lo, hi = q.indptr[k], q.indptr[k + 1]
@@ -171,7 +174,7 @@ def _accepted(gen: GeneratorMatrix, pi: np.ndarray, scale: float,
             "than double precision's range, or the chain is reducible "
             f"(condition estimate {_cond_estimate(m, lu)})"
         )
-    if issparse(m):
+    if _issparse(m):
         pi = pi / pi.max()
     pi = ProbabilityVector(pi / pi.sum())
     residual = np.abs(gen.q @ pi.p).max()
@@ -197,6 +200,8 @@ def _reversible_pi(q, root: int):
     larger.  An asymmetric or disconnected support, a weight that is not
     finite and positive, or a failed edge returns ``None``.
     """
+    from scipy.sparse.csgraph import breadth_first_order
+
     n = q.shape[0]
     qt = q.T.tocsr()
     if not (np.array_equal(q.indptr, qt.indptr)

@@ -1,5 +1,8 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -196,31 +199,106 @@ def test_non_finite_evolution_exits_2(command, t_max, q3_path, tmp_path, capsys)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["entropy", "--kind", "kl"],
-    ["entropy", "--kind", "shannon"],
-    ["entropy", "--kind", "gini"],
-    ["evolve"],
-    ["bound"],
-])
-def test_non_finite_p0_exits_2(command, q3_path, tmp_path, capsys):
-    p0 = tmp_path / "nan.json"
-    write_json(p0, [0.5, 0.5, float("nan")])
-    assert main([*command, "--input", str(q3_path), "--p0", str(p0)]) == 2
-    assert "finiteness invariant violated: the probability vector" in capsys.readouterr().err
+P0_NAN = ([0.5, 0.5, float("nan")],
+          "finiteness invariant violated: the probability vector")
+P0_NOT_NUMBERS = "the probability vector must be an array of numbers"
 
 
-@pytest.mark.parametrize("generator", [
-    {"q": [[float("nan"), 1.0], [1.0, -1.0]]},
-    {"q": [[-float("inf"), 1.0], [float("inf"), -1.0]]},
-    {"rates": [[0.0, float("inf")], [1.0, 0.0]]},
-], ids=["q-nan", "q-inf", "rates-inf"])
+@pytest.mark.parametrize("command, p0, refusal", [
+    (["entropy", "--kind", "kl"], *P0_NAN),
+    (["entropy", "--kind", "shannon"], *P0_NAN),
+    (["entropy", "--kind", "gini"], *P0_NAN),
+    (["evolve"], *P0_NAN),
+    (["bound"], *P0_NAN),
+    (["entropy", "--kind", "kl"], [0.5, 0.5, {}], P0_NOT_NUMBERS),
+    (["evolve"], [0.5, [0.5, 0.0]], P0_NOT_NUMBERS),
+    (["bound"], "abc", P0_NOT_NUMBERS),
+], ids=["command0", "command1", "command2", "command3", "command4",
+        "kl-object", "evolve-ragged", "bound-string"])
+def test_non_finite_p0_exits_2(command, p0, refusal, q3_path, tmp_path, capsys):
+    path = tmp_path / "p0.json"
+    write_json(path, p0)
+    assert main([*command, "--input", str(q3_path), "--p0", str(path)]) == 2
+    assert refusal in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("generator, refusal", [
+    ({"q": [[float("nan"), 1.0], [1.0, -1.0]]}, "finiteness invariant violated"),
+    ({"q": [[-float("inf"), 1.0], [float("inf"), -1.0]]}, "finiteness invariant violated"),
+    ({"rates": [[0.0, float("inf")], [1.0, 0.0]]}, "finiteness invariant violated"),
+    ({"q": [[-1.0, {}], [1.0, -1.0]]}, "the generator q must be a square array of numbers"),
+    ({"q": [[-1, 1], [1]]}, "the generator q must be a square array of numbers"),
+    ({"q": "abc"}, "the generator q must be a square array of numbers"),
+    ({"rates": [[0.0, {}], [1.0, 0.0]]}, "the rates must be a square array of numbers"),
+    ({"rates": [[0, 1], [1]]}, "the rates must be a square array of numbers"),
+    ({"n": [2], "rates": [[0, 1], [1, 0]]}, "declared n must be an integer, got [2]"),
+    ({"n": None, "rates": [[0, 1], [1, 0]]}, "declared n must be an integer, got None"),
+    ({"n": 2.9, "rates": [[0, 1], [1, 0]]}, "declared n must be an integer, got 2.9"),
+], ids=["q-nan", "q-inf", "rates-inf", "q-object", "q-ragged", "q-string",
+        "rates-object", "rates-ragged", "n-list", "n-null", "n-float"])
 @pytest.mark.parametrize("command", ["stationary", "decompose"])
-def test_non_finite_generator_exits_2(command, generator, tmp_path, capsys):
+def test_non_finite_generator_exits_2(command, generator, refusal, tmp_path, capsys):
     path = tmp_path / "q.json"
     write_json(path, generator)
     assert main([command, "--input", str(path)]) == 2
-    assert "finiteness invariant violated" in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
+
+
+def test_compose_of_non_numbers_exits_2(tmp_path, capsys):
+    paths = {name: tmp_path / f"{name}.json" for name in ("pi", "S", "A")}
+    write_json(paths["pi"], [0.5, 0.5])
+    write_json(paths["S"], {"S": [[-1.0, 1.0], [1.0, -1.0]]})
+    write_json(paths["A"], {"matrix": [[0.0, {}], [0.0, 0.0]]})
+    assert main(["compose", *(f"--{k}={v}" for k, v in paths.items())]) == 2
+    assert "A must be a square array of numbers" in capsys.readouterr().err
+
+
+SPARSE_PROBE = """
+import json, sys
+from markov_flow.cli import main
+
+tmp = sys.argv[1]
+
+
+def sparse_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+
+
+codes = [main([command, "--input", f"{tmp}/q.json", *extra,
+               "--output", f"{tmp}/{command}.out"])
+         for command, extra in (("decompose", []), ("cycles", []),
+                                ("bound", ["--p0", f"{tmp}/p0.json"]),
+                                ("evolve", ["--p0", f"{tmp}/p0.json"]))]
+dense = sparse_modules()
+codes.append(main(["stationary", "--input", f"{tmp}/birth_death.json",
+                   "--output", f"{tmp}/pi.json"]))
+print(json.dumps({"codes": codes, "dense": dense, "after": sparse_modules()}))
+"""
+
+
+def test_dense_session_never_loads_the_sparse_stack(tmp_path):
+    # a fresh interpreter: the test modules import scipy.sparse themselves
+    rates = np.random.default_rng(0).uniform(0.2, 2.0, (8, 8))
+    np.fill_diagonal(rates, 0.0)
+    write_json(tmp_path / "q.json", {"n": 8, "rates": rates.tolist()})
+    write_json(tmp_path / "p0.json", [1.0] + [0.0] * 7)
+    # 0 <-> 1 <-> 2: a missing edge, so csgraph decides irreducibility
+    write_json(tmp_path / "birth_death.json",
+               {"n": 3, "rates": [[0, 1, 0], [2, 0, 1], [0, 2, 0]]})
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", SPARSE_PROBE, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["codes"] == [0] * 5
+    assert report["dense"] == []
+    assert {"scipy.sparse", "scipy.sparse.csgraph",
+            "scipy.sparse.linalg"} <= set(report["after"])
+    pi = json.loads((tmp_path / "pi.json").read_text())["pi"]
+    np.testing.assert_allclose(pi, [1 / 7, 2 / 7, 4 / 7], rtol=1e-12)
 
 
 def test_csv_text_matches_format_spec():

@@ -383,7 +383,7 @@ def test_twisted_study_factors_once_per_level(monkeypatch):
     # only the twisted operator needs SuperLU; its gamma-free twin is
     # reversible and takes the spanning-tree pi.  The reference refuses
     # every tree, so it factors both operators of each level with SuperLU
-    factor = count_calls(monkeypatch, "markov_flow.stationary", "splu")
+    factor = count_calls(monkeypatch, "scipy.sparse.linalg", "splu")
     levels = refinement_study(DOMAIN, (16, 32), "quadratic", "identity", 0.5)
     assert factor.call_count == 2
     monkeypatch.setattr("markov_flow.stationary._reversible_pi",

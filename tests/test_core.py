@@ -270,7 +270,7 @@ def test_strong_connectivity_agrees_with_support_classes(edges):
 
 @pytest.mark.parametrize("form", [np.array, csr_array], ids=["dense", "csr"])
 def test_complete_support_needs_no_graph_search(form, monkeypatch):
-    search = count_calls(monkeypatch, "markov_flow.core", "connected_components")
+    search = count_calls(monkeypatch, "scipy.sparse.csgraph", "connected_components")
     rates = np.random.default_rng(7).uniform(0.2, 2.0, (6, 6))
     np.fill_diagonal(rates, 0.0)
 
