@@ -10,6 +10,7 @@ across runs for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import chain
@@ -445,10 +446,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process; parsing leaves
+    it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -180,15 +180,14 @@ def compose(pi, S, A) -> GeneratorMatrix:
     _check_positive(pi.p)
     S = _float_array(as_dense(S), "S")
     A = _float_array(as_dense(A), "A")
+    # the circulation may be round-off dust relative to the symmetric part
+    # (2-state chains, reversible chains), so all tolerances share one scale
+    flow_scale = max(_finite_scale(S, "S"), _finite_scale(A, "A"), 1e-300)
     n = pi.n
     if S.shape != (n, n) or A.shape != (n, n):
         raise ValueError(
             f"shape mismatch: pi has {n} states, S is {S.shape}, A is {A.shape}"
         )
-
-    # the circulation may be round-off dust relative to the symmetric part
-    # (2-state chains, reversible chains), so all tolerances share one scale
-    flow_scale = max(np.abs(S).max(), np.abs(A).max(), 1e-300)
     if np.abs(S - S.T).max() > FLOW_RTOL * flow_scale:
         raise NotSymmetric(
             f"symmetry invariant violated: max|S - S^T| = {np.abs(S - S.T).max():.3g}"

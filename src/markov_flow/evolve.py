@@ -3,34 +3,34 @@
 ``evolve`` carries the distribution forward from an anchor, the last grid
 state written (``p0`` at time 0), and never exponentiates ``q t_k`` from
 ``p0``.  Every step is accurate to round-off, and which one is taken
-depends on ``n`` and on ``||q||_1`` times the offset from the anchor alone:
+depends on ``n`` and on ``mu = max|q_ii|`` times the offset from the
+anchor alone:
 
-* a Taylor block (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011,
-  section 5): every following grid point ``t_k`` with
-  ``||q||_1 (t_k - anchor) <= 1`` shares one set of scaled powers
-  ``V_j = d^j / j! q^j p`` of the truncated Taylor series, built for the
-  farthest offset ``d``; row ``i`` of the block is ``sum_j (delta_i/d)^j V_j``,
-  so its ``B`` rows are one ``(B x J)(J x n)`` product, and the last row is
-  the next anchor.  The series stops after at most 18 terms, or once a
-  term's 1-norm falls below ``2^-53`` of the anchor's.  Eighteen terms
-  suffice because ``theta_18 = 1.09 >= 1`` is the largest 1-norm for which
-  18 terms reach unit round-off ``2^-53``, and a nearer point only shrinks
-  each term by ``(delta_i/d)^j``.  Cost: at most 18 matrix-vector products
-  and one ``(B x 19)(19 x n)`` product per block, and on a grid that is
-  dense next to ``1/||q||_1`` about one block per ``1/||q||_1`` of time.
-* a longer interval ``h`` to the next point is ``s = ceil(||q||_1 h)``
-  one-point blocks of 1-norm at most 1: at most ``18 s`` matrix-vector
-  products.
-* or the propagator ``expm(q h) @ p`` by scaling-and-squaring Pade
-  approximation: at least one ``n x n`` matrix product, and bounded
-  however large ``||q h||`` grows, which is what a metastable chain on a
-  ``10/lambda2`` grid needs.
+* a uniformized block (Jensen, Skand. Aktuarietidskr. 36, 1953; Grassmann,
+  Comput. Oper. Res. 4(1), 1977): with ``P = I + q/mu``, which is
+  entrywise nonnegative, ``exp(q delta) p = sum_j Pois(j; mu delta) P^j p``.
+  Every following grid point ``t_k`` with ``mu (t_k - anchor) <= lambda*(n)``
+  shares one set of powers ``V_j = P^j p``, ``j <= J``, built for the
+  farthest offset ``d``; row ``i`` of the block is
+  ``sum_j Pois(j; mu delta_i) V_j``, so its ``B`` rows are one
+  ``(B x (J+1))((J+1) x n)`` product, and the last row is the next anchor.
+  The Poisson weights are taken in log space (Fox and Glynn, Commun. ACM
+  31(4), 1988), and a point at offset 0 gets the exact row ``p``.  Every
+  term is nonnegative, so the sum has no cancellation, and the error of
+  stopping at ``J`` is the Poisson right tail ``P(N > J)`` times at most
+  ``||p||_1``: ``J`` is the least power with ``P(N > J) <= 2^-53`` for
+  ``N ~ Poisson(mu d)``.  The reach ``lambda*(n)`` is the largest
+  ``lambda`` whose tail beyond ``n`` is at most ``2^-53``, so a block costs
+  at most ``n`` matrix-vector products however many points it holds.
+* or, on a longer interval ``h``, the propagator ``expm(q h) @ p`` by
+  scaling-and-squaring Pade approximation: at least one ``n x n`` matrix
+  product, and bounded however large ``||q h||`` grows, which is what a
+  metastable chain on a ``10/lambda2`` grid needs.
 
-Blocks and substeps are taken iff ``18 s <= n`` (``s = 1`` for a block):
-then their worst case, ``18 s`` matrix-vector products of ``n^2`` flops
-each, costs no more than the one ``n^3`` matrix product the propagator
-needs at the least.  A chain with ``n < 18`` therefore always steps by
-``expm``.
+Blocks are taken only at ``n >= 18``: a block's ``n`` products of ``n^2``
+flops each then cost no more than the one ``n^3`` matrix product the
+propagator needs at the least, and ``lambda*(18) = 1.22``.  A chain with
+``n < 18`` always steps by ``expm``.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ log = logging.getLogger(__name__)
 DRIFT_TOL = 1e-9          # mass drift allowed before renormalization
 NEGATIVITY_TOL = 1e-10    # most negative entry tolerated before clipping
 MONOTONE_TOL = 1e-10      # slack when flagging monotonicity violations
-TAYLOR_TERMS = 18         # theta_18 = 1.09 >= 1 for unit round-off 2^-53
-TAYLOR_TOL = 2.0 ** -53   # a Taylor term this small relative to the sum ends it
+BLOCK_MIN_STATES = 18     # below this size every step is expm (module docstring)
+POISSON_TAIL = 2.0 ** -53  # Poisson mass a block may leave past its last power
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,35 +127,83 @@ def _cleanup_states(raw: np.ndarray) -> np.ndarray:
     return states
 
 
-def _taylor_block(q: np.ndarray, p: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Rows ``exp(q delta_i) p`` for ascending ``offsets`` ``delta_i >= 0``.
+def _log_factorials(n: int) -> np.ndarray:
+    """``log j!`` for ``j < 2n + 52``: past that, the Poisson mass at any
+    ``lambda <= lambda*(n) < n`` is far below ``2^-53``."""
+    return np.array([math.lgamma(j + 1.0) for j in range(2 * n + 52)])
 
-    One set of Taylor terms, built for the farthest offset ``d`` with
-    ``||q||_1 d <= 1``, serves every row (module docstring).  ``d = 0``
-    returns ``p`` itself.
+
+def _reach(n: int, log_fact: np.ndarray) -> float:
+    """``lambda*(n)``: the largest ``lambda`` with ``P(N > n) <= 2^-53`` for
+    ``N ~ Poisson(lambda)``, found by Newton's method on ``u = log lambda``.
+
+    ``g(u) = log P(N > n)`` is increasing and concave in ``u``, and the
+    start solves ``(n+1) u - log (n+1)! = log 2^-53`` from the bound
+    ``P(N > n) <= lambda^(n+1) / (n+1)!``, so it lies below the root and
+    the iterates rise to it.  The root is lowered by a relative ``1e-9``,
+    which moves the tail by far more than the round-off of its log-space
+    sum, so the tail at the returned reach is at most ``2^-53``.
     """
-    d = offsets[-1]
-    if d == 0.0:
-        return p[np.newaxis, :]
-    tol = TAYLOR_TOL * np.abs(p).sum()
-    terms = [p]
-    for j in range(1, TAYLOR_TERMS + 1):
-        terms.append((d / j) * (q @ terms[-1]))
-        if np.abs(terms[-1]).sum() <= tol:
+    target = math.log(POISSON_TAIL)
+    u = (target + log_fact[n + 1]) / (n + 1)
+    j = np.arange(n, log_fact.size)
+    for _ in range(100):
+        log_pmf = j * u - math.exp(u) - log_fact[n:]
+        log_tail = log_pmf[1] + math.log(np.exp(log_pmf[1:] - log_pmf[1]).sum())
+        # g'(u) = lambda Pois(n; lambda) / P(N > n)
+        step = (target - log_tail) / math.exp(u + log_pmf[0] - log_tail)
+        u += step
+        if step < 1e-13:
             break
-    powers = (offsets / d)[:, np.newaxis] ** np.arange(len(terms))
-    return powers @ np.array(terms)
+    return math.exp(u) * (1.0 - 1e-9)
+
+
+def _term_count(lam: float, log_fact: np.ndarray) -> int:
+    """The least ``J`` with ``P(N > J) <= 2^-53`` for ``N ~ Poisson(lam)``."""
+    if lam == 0.0:
+        return 0
+    pmf = np.exp(np.arange(log_fact.size) * math.log(lam) - lam - log_fact)
+    # tail[J] = P(N > J), summed from the smallest terms up
+    tail = np.cumsum(pmf[::-1])[::-1][1:]
+    return int(np.argmax(tail <= POISSON_TAIL))
+
+
+def _uniform_block(P: np.ndarray, p: np.ndarray, lams: np.ndarray,
+                   log_fact: np.ndarray) -> np.ndarray:
+    """Rows ``exp(q delta_i) p`` for ascending ``lams`` ``mu delta_i >= 0``.
+
+    One set of powers ``P^j p`` of ``P = I + q/mu``, built for the farthest
+    ``lams[-1]``, serves every row with its Poisson weights (module
+    docstring).  A row at ``lams_i = 0`` is ``p`` itself.
+    """
+    terms = _term_count(float(lams[-1]), log_fact) + 1
+    powers = np.empty((terms, p.size))
+    powers[0] = p
+    for j in range(1, terms):
+        powers[j] = P @ powers[j - 1]
+    positive = lams > 0.0
+    log_lams = np.log(lams, out=np.zeros_like(lams), where=positive)
+    # log Pois(j; lam_i) = j log lam_i - lam_i - log j!, built in place
+    weights = np.multiply.outer(log_lams, np.arange(terms))
+    weights -= lams[:, np.newaxis]
+    weights -= log_fact[:terms]
+    np.exp(weights, out=weights)
+    weights[~positive] = np.eye(1, terms)
+    return weights @ powers
 
 
 def evolve(gen: GeneratorMatrix, p0: ProbabilityVector, times) -> Trajectory:
     """Integrate ``dp/dt = q p`` forward from the last grid state written.
 
-    At ``n >= 18`` every grid point within ``1/||q||_1`` of the anchor joins
-    one Taylor block of at most 18 matrix-vector products, however many
-    points it holds.  A longer interval ``h`` takes
-    ``s = ceil(||q||_1 h)`` one-point blocks when ``18 s <= n``, else the
-    propagator ``expm(q h)`` (module docstring).  Raises :class:`Overflow`
-    when a state is not finite: the step to it left double precision.
+    At ``n >= 18`` every grid point with ``mu (t_k - anchor) <= lambda*(n)``,
+    ``mu = max|q_ii|``, joins one uniformized block: a Poisson-weighted sum
+    of the powers of ``P = I + q/mu`` whose truncation leaves a Poisson
+    tail of at most ``2^-53``, at the cost of at most ``n`` matrix-vector
+    products however many points it holds.  ``lambda*(18) = 1.22``,
+    ``lambda*(120) = 51.4``.  A longer interval ``h``, and every interval
+    of a chain with ``n < 18``, takes the propagator ``expm(q h)`` (module
+    docstring).  Raises :class:`Overflow` when a state is not finite: the
+    step to it left double precision.
     """
     if p0.n != gen.n:
         raise ValueError(
@@ -164,27 +212,25 @@ def evolve(gen: GeneratorMatrix, p0: ProbabilityVector, times) -> Trajectory:
         )
     t = _checked_times(times)
     q = as_dense(gen.q)
-    q_norm = float(np.abs(q).sum(axis=0).max())
-    # 18 s <= n  iff  ||q||_1 h <= n // 18: tested without ceil(), which
-    # raises on an infinite ||q||_1 h
-    max_substeps = gen.n // TAYLOR_TERMS
+    mu = float(-q.diagonal().min())
+    reach = -math.inf
+    if gen.n >= BLOCK_MIN_STATES and mu > 0.0:
+        log_fact = _log_factorials(gen.n)
+        reach = _reach(gen.n, log_fact)
+        P = q / mu
+        P[np.diag_indices_from(P)] += 1.0
     grid = t.tolist()
     raw = np.empty((t.size, gen.n))
     p, anchor, k = p0.p, 0.0, 0
     while k < t.size:
         h = grid[k] - anchor
-        stop = k + 1
-        if q_norm * h <= 1.0 <= max_substeps:
-            while stop < t.size and q_norm * (grid[stop] - anchor) <= 1.0:
-                stop += 1
-            rows = _taylor_block(q, p, t[k:stop] - anchor)
-        elif q_norm * h <= max_substeps:
-            # s = 0 only at h = 0, which leaves p as it is
-            s = math.ceil(q_norm * h)
-            for _ in range(s):
-                p = _taylor_block(q, p, np.array([h / s]))[0]
-            rows = p[np.newaxis, :]
+        if mu * h <= reach:
+            # mu (t - anchor) rises with t, so the points in reach are a prefix
+            lams = mu * (t[k:] - anchor)
+            stop = k + int(np.searchsorted(lams, reach, side="right"))
+            rows = _uniform_block(P, p, lams[:stop - k], log_fact)
         else:
+            stop = k + 1
             rows = (expm(q * h) @ p)[np.newaxis, :]
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():

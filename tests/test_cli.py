@@ -253,6 +253,31 @@ def test_compose_of_non_numbers_exits_2(tmp_path, capsys):
     assert "A must be a square array of numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("part", ["S", "A"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_compose_of_non_finite_parts_exits_2(part, bad, tmp_path, capsys):
+    parts = {"S": [[-1.0, 1.0], [1.0, -1.0]], "A": [[0.0, 0.0], [0.0, 0.0]]}
+    parts[part][1][1] = bad
+    paths = {name: tmp_path / f"{name}.json" for name in ("pi", "S", "A")}
+    write_json(paths["pi"], [0.5, 0.5])
+    write_json(paths["S"], {"S": parts["S"]})
+    write_json(paths["A"], {"A": parts["A"]})
+    assert main(["compose", *(f"--{k}={v}" for k, v in paths.items())]) == 2
+    assert (f"finiteness invariant violated: {part} has an entry"
+            in capsys.readouterr().err)
+
+
+def test_main_builds_one_parser(q3_path, tmp_path, monkeypatch):
+    cli._parser.cache_clear()
+    build_calls = mock.Mock(wraps=cli.build_parser)
+    monkeypatch.setattr(cli, "build_parser", build_calls)
+    outputs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in outputs:
+        assert main(["decompose", "--input", str(q3_path), "--output", str(out)]) == 0
+    assert build_calls.call_count == 1
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
 SPARSE_PROBE = """
 import json, sys
 from markov_flow.cli import main

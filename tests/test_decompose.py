@@ -152,6 +152,17 @@ def test_compose_validates_parts():
         compose(d.pi, d.S, d.S)
 
 
+@pytest.mark.parametrize("part", ["S", "A"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_compose_refuses_non_finite_parts(part, bad):
+    d = decompose(three_cycle())
+    parts = {"S": np.array(d.S), "A": np.array(d.A)}
+    parts[part][1, 2] = bad
+    with pytest.raises(MarkovFlowError,
+                       match=f"finiteness invariant violated: {part} has an entry"):
+        compose(d.pi, parts["S"], parts["A"])
+
+
 def test_compose_matches_decompose():
     rng = np.random.default_rng(31)
     for _ in range(20):

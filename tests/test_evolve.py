@@ -1,5 +1,7 @@
+import importlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -34,6 +36,8 @@ from helpers import (
     rk4_integrate,
 )
 
+evolve_module = importlib.import_module("markov_flow.evolve")
+
 
 def test_stationary_start_is_fixed_point():
     gen = three_cycle()
@@ -61,7 +65,7 @@ def test_rk4_two_state_closed_form():
 def test_integrators_agree():
     rng = np.random.default_rng(3)
     worst = 0.0
-    # n = 24 and 40 take Taylor blocks on their short intervals
+    # n = 24 and 40 take uniformized blocks on their short intervals
     for size in [None] * 15 + [24, 40]:
         n = size or int(rng.integers(3, 9))
         gen = random_generator(rng, n)
@@ -76,85 +80,158 @@ def test_integrators_agree():
     assert worst <= 1e-8, worst
 
 
+def reach(n):
+    """The block reach ``lambda*(n)`` of an ``n``-state chain."""
+    return evolve_module._reach(n, evolve_module._log_factorials(n))
+
+
 @pytest.mark.parametrize("n", [20, 60, 120])
 def test_dense_chain_steps_match_per_point_expm(n, monkeypatch):
     rng = np.random.default_rng(n)
     gen = random_generator(rng, n)
     p0 = probability_vector(np.eye(n)[0])
     t_max = 10.0 / lambda2(decompose(gen))
-    q_norm = np.abs(gen.q).sum(axis=0).max()
+    mu = -gen.q.diagonal().min()
     expm_calls = count_calls(monkeypatch, "markov_flow.evolve", "expm")
-    block_calls = count_calls(monkeypatch, "markov_flow.evolve", "_taylor_block")
+    block_calls = count_calls(monkeypatch, "markov_flow.evolve", "_uniform_block")
     for points in (200, 1000):
         t = np.concatenate([[0.0], np.geomspace(1e-3, t_max, points - 1)])
         block_calls.reset_mock()
         traj = evolve(gen, p0, t)
-        # every interval of a dense chain's 10/lambda2 grid is short in ||q||_1 h
+        # every interval of a dense chain's 10/lambda2 grid is short in mu h
         assert expm_calls.call_count == 0
         assert (traj.states[0] == p0.p).all()
         for row, tk in zip(traj.states, t):
             expected = scipy.linalg.expm(gen.q * tk) @ p0.p
             assert np.abs(row - expected).max() <= 1e-13
     # the 1000-point grid is dense enough that each block reaches nearly
-    # 1/||q||_1 past its anchor, and the first serves hundreds of rows
-    assert block_calls.call_count <= math.ceil(q_norm * t_max) + 1
+    # lambda*(n)/mu past its anchor, and the first serves hundreds of rows
+    assert block_calls.call_count <= math.ceil(mu * t_max / reach(n)) + 1
     assert max(len(call.args[2]) for call in block_calls.call_args_list) >= 100
 
 
-def test_block_takes_a_point_exactly_one_norm_unit_away(monkeypatch):
-    rng = np.random.default_rng(37)
+def test_block_takes_a_point_exactly_at_its_reach(monkeypatch):
+    # seed 38: a double edge with mu * edge == lambda*(40) exists, which
+    # it does not for every mu
+    rng = np.random.default_rng(38)
     gen = random_generator(rng, 40)
     p0 = probability_vector(np.eye(40)[0])
-    q_norm = np.abs(gen.q).sum(axis=0).max()
-    edge = 1.0 / q_norm
-    while q_norm * edge > 1.0:
+    mu = -gen.q.diagonal().min()
+    lam = reach(40)
+    edge = lam / mu
+    while mu * edge > lam:
         edge = np.nextafter(edge, 0.0)
-    while q_norm * edge < 1.0:
+    while mu * edge < lam:
         edge = np.nextafter(edge, np.inf)
-    assert q_norm * edge == 1.0
-    # blocks from 0 and from edge each end exactly 1/||q||_1 past their anchor
-    t = np.array([edge / 3.0, edge, 2.0 * edge, 2.5 * edge])
-    block_calls = count_calls(monkeypatch, "markov_flow.evolve", "_taylor_block")
-    traj = evolve(gen, p0, t)
-    assert [list(call.args[2]) for call in block_calls.call_args_list] == [
-        [edge / 3.0, edge], [edge], [2.5 * edge - 2.0 * edge]
-    ]
-    for row, tk in zip(traj.states, t):
-        expected = scipy.linalg.expm(gen.q * tk) @ p0.p
-        assert np.abs(row - expected).max() <= 1e-13
+    past = np.nextafter(edge, np.inf)
+    assert mu * edge == lam < mu * past
+    # the block from 0 takes edge; one ulp further starts a block at edge / 3
+    block_calls = count_calls(monkeypatch, "markov_flow.evolve", "_uniform_block")
+    for t, sizes in (([edge / 3.0, edge], [2]), ([edge / 3.0, past], [1, 1])):
+        block_calls.reset_mock()
+        traj = evolve(gen, p0, t)
+        assert [len(call.args[2]) for call in block_calls.call_args_list] == sizes
+        for row, tk in zip(traj.states, t):
+            expected = scipy.linalg.expm(gen.q * tk) @ p0.p
+            assert np.abs(row - expected).max() <= 1e-13
 
 
 @pytest.mark.parametrize("span", [None, 1.5, 5.0])
-def test_first_point_at_zero_is_p0(span):
-    # n >= 18: t = 0 is a block whose only point is its anchor, followed
-    # (if at all) by an interval of ||q||_1 h > 1, taken in two substeps
-    # (1.5) or by the propagator (5.0)
+def test_first_point_at_zero_is_p0(span, monkeypatch):
+    # n = 18: t = 0 is the first row of a block, exactly p0; a second
+    # point at mu t = span / 2 joins that block (0.75 <= lambda*(18) = 1.22)
+    # or follows it by the propagator (2.5)
     rng = np.random.default_rng(41)
-    gen = random_generator(rng, 40)
-    p0 = probability_vector(np.eye(40)[0] * 0.5 + np.eye(40)[1] * 0.25
-                            + np.eye(40)[2] * 0.25)
-    q_norm = np.abs(gen.q).sum(axis=0).max()
-    t = [0.0] if span is None else [0.0, span / q_norm]
+    gen = random_generator(rng, 18)
+    p0 = probability_vector(np.eye(18)[0] * 0.5 + np.eye(18)[1] * 0.25
+                            + np.eye(18)[2] * 0.25)
+    mu = -gen.q.diagonal().min()
+    t = [0.0] if span is None else [0.0, span / (2.0 * mu)]
+    expm_calls = count_calls(monkeypatch, "markov_flow.evolve", "expm")
     traj = evolve(gen, p0, t)
     assert (traj.states[0] == p0.p).all()
+    assert expm_calls.call_count == (span == 5.0)
     if span is not None:
         expected = scipy.linalg.expm(gen.q * t[1]) @ p0.p
         assert np.abs(traj.states[1] - expected).max() <= 1e-13
 
 
-@pytest.mark.parametrize("n", [18, 40])
-def test_taylor_step_at_its_norm_limit(n, monkeypatch):
-    # one interval of ||q||_1 h just below n // 18: its one-point blocks
-    # reach 1-norm 1, where 18 Taylor terms are needed for round-off
+@pytest.mark.parametrize("lam", ["0", "1e-12", "1e-3", "0.5", "reach 18",
+                                 "reach 120", "reach 400"])
+def test_term_count_leaves_a_poisson_tail_below_round_off(lam):
+    # J is the least power whose Poisson(lam) tail P(N > J) is <= 2^-53,
+    # the tail taken with mpmath
+    lam = reach(int(lam.split()[1])) if lam.startswith("reach") else float(lam)
+    terms = evolve_module._term_count(lam, evolve_module._log_factorials(400))
+
+    def tail(j):
+        with mpmath.workdps(40):
+            return mpmath.gammainc(j + 1, 0, mpmath.mpf(lam), regularized=True)
+
+    assert tail(terms) <= mpmath.mpf(2) ** -53
+    if lam > 0.0:
+        assert tail(terms - 1) > mpmath.mpf(2) ** -53
+
+
+@pytest.mark.parametrize("n, expected", [(18, 1.22), (40, 7.96), (120, 51.4),
+                                         (400, 258.0)])
+def test_reach_is_the_largest_with_n_terms(n, expected):
+    lam = reach(n)
+    assert round(lam, 2 if n < 100 else 1) == expected
+    assert evolve_module._term_count(lam, evolve_module._log_factorials(n)) == n
+    # nearly the largest: a relative 1e-8 further needs n + 1 powers
+    with mpmath.workdps(40):
+        beyond = mpmath.gammainc(n + 1, 0, mpmath.mpf(lam * (1.0 + 1e-8)),
+                                 regularized=True)
+    assert beyond > mpmath.mpf(2) ** -53
+
+
+@pytest.mark.parametrize("chain", ["random", "stiff"])
+@pytest.mark.parametrize("n", [18, 40, 120, 400])
+def test_block_at_its_full_reach(n, chain, monkeypatch):
+    # one block whose farthest point has mu h = lambda*(n), the most powers a
+    # block takes; stiff rates span 1e-6..1e3.  P = I + q/mu and the Poisson
+    # weights are nonnegative, so the rows are too, before any cleanup
     rng = np.random.default_rng(31)
-    gen = random_generator(rng, n)
-    p0 = probability_vector(np.eye(n)[0])
-    h = (n // 18) * (1.0 - 1e-12) / np.abs(gen.q).sum(axis=0).max()
+    if chain == "stiff":
+        rates = 10.0 ** rng.uniform(-6.0, 3.0, (n, n))
+        np.fill_diagonal(rates, 0.0)
+        gen = from_offdiagonal_rates(rates)
+    else:
+        gen = random_generator(rng, n)
+    p0 = random_probability(rng, n)
+    mu, lam = -gen.q.diagonal().min(), reach(n)
+    h = lam / mu
+    while mu * h > lam:
+        h = np.nextafter(h, 0.0)
+    t = [h / 7.0, h / 2.0, h]
     expm_calls = count_calls(monkeypatch, "markov_flow.evolve", "expm")
-    traj = evolve(gen, p0, [h])
-    assert expm_calls.call_count == 0
-    expected = scipy.linalg.expm(gen.q * h) @ p0.p
-    assert np.abs(traj.states[0] - expected).max() <= 1e-13
+    block_calls = count_calls(monkeypatch, "markov_flow.evolve", "_uniform_block")
+    cleanup_calls = count_calls(monkeypatch, "markov_flow.evolve", "_cleanup_states")
+    traj = evolve(gen, p0, t)
+    assert (expm_calls.call_count, block_calls.call_count) == (0, 1)
+    assert cleanup_calls.call_args.args[0].min() >= 0.0
+    for row, tk in zip(traj.states, t):
+        expected = scipy.linalg.expm(gen.q * tk) @ p0.p
+        assert np.abs(row - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_blocks_start_at_18_states(n, monkeypatch):
+    rng = np.random.default_rng(43)
+    gen = random_generator(rng, n)
+    p0 = random_probability(rng, n)
+    t = np.linspace(0.1, 5.0, 50) / -gen.q.diagonal().min()
+    expm_calls = count_calls(monkeypatch, "markov_flow.evolve", "expm")
+    block_calls = count_calls(monkeypatch, "markov_flow.evolve", "_uniform_block")
+    traj = evolve(gen, p0, t)
+    if n == 17:
+        assert (expm_calls.call_count, block_calls.call_count) == (t.size, 0)
+    else:
+        assert expm_calls.call_count == 0 < block_calls.call_count
+    for row, tk in zip(traj.states, t):
+        expected = scipy.linalg.expm(gen.q * tk) @ p0.p
+        assert np.abs(row - expected).max() <= 1e-13
 
 
 def test_metastable_chain_takes_both_steps(monkeypatch):
