@@ -196,14 +196,12 @@ def evolve(gen: GeneratorMatrix, p0: ProbabilityVector, times) -> Trajectory:
     """Integrate ``dp/dt = q p`` forward from the last grid state written.
 
     At ``n >= 18`` every grid point with ``mu (t_k - anchor) <= lambda*(n)``,
-    ``mu = max|q_ii|``, joins one uniformized block: a Poisson-weighted sum
-    of the powers of ``P = I + q/mu`` whose truncation leaves a Poisson
-    tail of at most ``2^-53``, at the cost of at most ``n`` matrix-vector
-    products however many points it holds.  ``lambda*(18) = 1.22``,
-    ``lambda*(120) = 51.4``.  A longer interval ``h``, and every interval
-    of a chain with ``n < 18``, takes the propagator ``expm(q h)`` (module
-    docstring).  Raises :class:`Overflow` when a state is not finite: the
-    step to it left double precision.
+    ``mu = max|q_ii|``, joins one uniformized block of at most ``n``
+    matrix-vector products however many points it holds, whose truncation
+    leaves a Poisson tail of at most ``2^-53``.  A longer interval ``h``, and
+    every interval at ``n < 18``, takes ``expm(q h)`` (module docstring).
+    Raises :class:`Overflow` when a state is not finite: the step to it
+    left double precision.
     """
     if p0.n != gen.n:
         raise ValueError(
