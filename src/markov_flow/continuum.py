@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GeneratorMatrix, ProbabilityVector, _max_abs, from_offdiagonal_rates
+from .core import GeneratorMatrix, ProbabilityVector, _frozen, _max_abs, from_offdiagonal_rates
 from .decompose import FlowDecomposition, _flow, decompose
 from .errors import ExcessiveClipping, Overflow, TooLarge
 from .stationary import stationary_solve
@@ -69,9 +69,7 @@ class FpeProblem:
 
     def __post_init__(self):
         for name in ("phi", "diffusion", "gamma"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -191,7 +189,7 @@ def _samples(value, name: str) -> np.ndarray:
         raise ValueError(f"problem invariant violated: {name} must be numbers{got}")
     try:
         samples = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(
             f"problem invariant violated: {name} must be numbers{got}"
         ) from None

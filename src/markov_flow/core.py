@@ -107,9 +107,7 @@ class ProbabilityVector:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _frozen(self.p))
 
     @property
     def n(self) -> int:
@@ -185,11 +183,11 @@ def _finite_scale(m, what: str, error=MarkovFlowError) -> float:
 
 def _float_array(values, what: str, form: str = "a square array") -> np.ndarray:
     """A new float array of ``values``; a ragged, string or non-numeric
-    input raises ``ValueError`` saying that ``what`` must be ``form`` of
-    numbers."""
+    input, or an integer beyond double range, raises ``ValueError`` saying
+    that ``what`` must be ``form`` of numbers."""
     try:
         return np.array(values, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(
             f"{what} must be {form} of numbers, got {reprlib.repr(values)}"
         ) from None

@@ -48,7 +48,7 @@ from .errors import (
     NotSymmetric,
     RowSumViolation,
 )
-from .stationary import stationary_solve, stationary_tree
+from .stationary import RESIDUAL_RTOL, stationary_solve, stationary_tree
 
 # cycle peeling drops residual edges at or below this fraction of max|A|
 CYCLE_DUST_RTOL = 1e-15
@@ -134,12 +134,11 @@ def _check_flow_invariants(d: FlowDecomposition):
             f"flow invariant violated: F[{i},{j}] = {least:.3g} < 0"
         )
     for name, m in (("F", F), ("S", S), ("A", A)):
-        worst_row = np.abs(_sums(m, axis=1)).max()
-        worst_col = np.abs(_sums(m, axis=0)).max()
-        if max(worst_row, worst_col) > tol:
+        worst = np.abs(np.concatenate((_sums(m, axis=1), _sums(m, axis=0)))).max()
+        if worst > tol:
             raise RowSumViolation(
                 f"zero-sum invariant violated for {name}: worst row/column sum "
-                f"{max(worst_row, worst_col):.3g} exceeds {tol:.3g}"
+                f"{worst:.3g} exceeds {tol:.3g}"
             )
     # antisymmetry puts all of F's diagonal in S
     if np.abs(A.diagonal()).max() != 0.0:
@@ -163,6 +162,12 @@ def recompose(d: FlowDecomposition) -> GeneratorMatrix:
 def compose(pi, S, A) -> GeneratorMatrix:
     """Construct a generator with stationary distribution ``pi`` from flow parts.
 
+    Accepts exactly what :func:`decompose` checks: once ``S`` is symmetric
+    and ``A`` antisymmetric, ``F = S + A`` and its parts go through the same
+    flow-invariant checks, with their one tolerance ``FLOW_RTOL * max|F|``.
+    A row-sum error in a part is refused as "zero-sum invariant violated
+    for F", a too-strong circulation as "flow invariant violated: F[i,j]".
+
     Parameters
     ----------
     pi : ProbabilityVector or array_like
@@ -170,10 +175,9 @@ def compose(pi, S, A) -> GeneratorMatrix:
     S : array_like
         Symmetric, zero row sums, nonnegative off-diagonals.
     A : array_like
-        Antisymmetric, zero row sums.  Feasibility additionally requires
-        ``S + A`` to have nonnegative off-diagonals; a too-strong
-        circulation raises :class:`InvalidFlow` rather than being silently
-        projected back, because any repair would change ``pi``.
+        Antisymmetric with a zero diagonal, zero row sums, and ``F`` must
+        have nonnegative off-diagonals: a too-strong circulation is refused
+        rather than projected back, because any repair would change ``pi``.
     """
     if not isinstance(pi, ProbabilityVector):
         pi = probability_vector(pi)
@@ -181,7 +185,7 @@ def compose(pi, S, A) -> GeneratorMatrix:
     S = _float_array(as_dense(S), "S")
     A = _float_array(as_dense(A), "A")
     # the circulation may be round-off dust relative to the symmetric part
-    # (2-state chains, reversible chains), so all tolerances share one scale
+    # (2-state chains, reversible chains), so both checks share one scale
     flow_scale = max(_finite_scale(S, "S"), _finite_scale(A, "A"), 1e-300)
     n = pi.n
     if S.shape != (n, n) or A.shape != (n, n):
@@ -196,36 +200,14 @@ def compose(pi, S, A) -> GeneratorMatrix:
         raise NotAntisymmetric(
             f"antisymmetry invariant violated: max|A + A^T| = {np.abs(A + A.T).max():.3g}"
         )
-    for name, m in (("S", S), ("A", A)):
-        worst = np.abs(m.sum(axis=1)).max()
-        if worst > FLOW_RTOL * n * flow_scale:
-            raise RowSumViolation(
-                f"zero-row-sum invariant violated for {name}: worst row sum {worst:.3g}"
-            )
-    s_off = S.copy()
-    np.fill_diagonal(s_off, 0.0)
-    if s_off.min() < -FLOW_RTOL * flow_scale:
-        i, j = np.unravel_index(np.argmin(s_off), s_off.shape)
-        raise InvalidFlow(
-            f"symmetric-flow positivity violated: S[{i},{j}] = {S[i, j]:.3g} < 0"
-        )
-
-    flow = S + A
-    off = flow.copy()
-    np.fill_diagonal(off, 0.0)
-    fl_scale = max(np.abs(flow).max(), 1e-300)
-    if off.min() < -FLOW_RTOL * fl_scale:
-        i, j = np.unravel_index(np.argmin(off), off.shape)
-        raise InvalidFlow(
-            f"flow feasibility violated: (S+A)[{i},{j}] = {flow[i, j]:.6g} < 0 "
-            "(circulation too strong for the symmetric part)"
-        )
-    # q[i, j] = flow[i, j] / pi_j; round-off negatives were vetted above
-    q = np.clip(off, 0.0, None) / pi.p[np.newaxis, :]
-    np.fill_diagonal(q, np.diag(flow) / pi.p)
+    d = FlowDecomposition(pi=pi, F=S + A, S=S, A=A)
+    _check_flow_invariants(d)
+    # q[i, j] = F[i, j] / pi_j; round-off negatives were vetted above
+    q = np.clip(d.F, 0.0, None) / pi.p[np.newaxis, :]
+    np.fill_diagonal(q, np.diag(d.F) / pi.p)
     gen = validate_generator(q)
     residual = np.abs(gen.q @ pi.p).max()
-    if residual > 1e-10 * max(np.abs(gen.q).max(), 1e-300):
+    if residual > RESIDUAL_RTOL * max(np.abs(gen.q).max(), 1e-300):
         raise RowSumViolation(
             f"stationarity invariant violated: max|q @ pi| = {residual:.3g}"
         )
@@ -382,6 +364,11 @@ def cycle_decompose(A) -> CycleDecomposition:
 
 def superpose_cycles(cycles: CycleDecomposition, n: int) -> np.ndarray:
     """Rebuild the antisymmetric circulation matrix from a cycle list."""
+    outside = [v for nodes, _ in cycles.cycles for v in nodes if not 0 <= v < n]
+    if outside:
+        raise ValueError(
+            f"size invariant violated: node {outside[0]} is not one of the {n} states"
+        )
     A = np.zeros((n, n))
     for nodes, weight in cycles.cycles:
         for u, v in zip(nodes, nodes[1:] + nodes[:1]):

@@ -150,7 +150,8 @@ def production_split(p, d: FlowDecomposition) -> dict:
     A = as_dense(d.A)
     a_part = float(_quadratic_form(r, A))
     a_scale = np.linalg.norm(A) * float(r @ r)
-    if abs(a_part) > PRODUCTION_SPLIT_RTOL * max(a_scale, 1e-300):
+    # also true for a NaN, which a p with a NaN entry gives
+    if not abs(a_part) <= PRODUCTION_SPLIT_RTOL * max(a_scale, 1e-300):
         raise NotAntisymmetric(
             f"antisymmetric quadratic-form invariant violated: circulation "
             f"production {a_part:.3g} is not zero at scale {a_scale:.3g}"
@@ -167,13 +168,13 @@ def shannon_production_split(p, d: FlowDecomposition) -> dict:
     the distinguished member of the family.  Requires strictly positive
     ``p``.
     """
-    arr = _as_prob_array(p)
-    if arr.min() <= 0.0:
+    arr, ref = _with_reference(p, d.pi)
+    if not arr.min() > 0.0:  # also true for a NaN
         i = int(np.argmin(arr))
         raise PositivityViolation(
             f"interior-point requirement violated: p[{i}] = {arr[i]:.3g} <= 0"
         )
-    r = arr / d.pi.p
+    r = arr / ref
     weight = 1.0 + np.log(r)
     return {
         "s_part": float(-(as_dense(d.S) @ r) @ weight),

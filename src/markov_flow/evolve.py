@@ -43,7 +43,7 @@ from typing import Iterable
 import numpy as np
 from scipy.linalg import expm
 
-from .core import GeneratorMatrix, ProbabilityVector, as_dense
+from .core import GeneratorMatrix, ProbabilityVector, _frozen, as_dense
 from .decompose import FlowDecomposition
 from .entropy import (
     EntropyKind,
@@ -81,9 +81,7 @@ class Trajectory:
 
     def __post_init__(self):
         for name in ("times", "states"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def n(self) -> int:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_positive, as_dense
+from .core import _check_positive, _frozen, as_dense
 from .decompose import FlowDecomposition
 from .entropy import gini_divergence
 from .errors import (
@@ -63,9 +63,7 @@ class SpectralBound:
 
     def __post_init__(self):
         for name in ("G", "eigenvalues", "eigenvectors", "pi"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def lambda2(self) -> float:
@@ -174,6 +172,10 @@ class BoundReport:
     lam2: float
     norm_identity_error: float    # max | ||p/sqrt(pi)-sqrt(pi)||^2 - (sum(p^2/pi) - 1) |
     projection_error: float       # max | <sqrt(pi), p/sqrt(pi)-sqrt(pi)> |
+
+    def __post_init__(self):
+        for name in ("times", "divergence", "bound", "bound_sharp", "ratio"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 def verify_bound(traj: Trajectory, sb: SpectralBound) -> BoundReport:

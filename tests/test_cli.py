@@ -267,6 +267,37 @@ def test_compose_of_non_finite_parts_exits_2(part, bad, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+BEYOND_DOUBLE = 10 ** 400  # valid JSON, but float() of it overflows
+CONTINUUM = ["continuum", "--problem", "fpe", "--grid", "4", "--refine", "1"]
+
+
+@pytest.mark.parametrize("files, argv, refusal", [
+    ({"q": {"q": [[-1, BEYOND_DOUBLE], [1, -1]]}}, ["stationary", "--input", "q"],
+     "the generator q must be a square array of numbers"),
+    ({"q": {"rates": [[0, BEYOND_DOUBLE], [1, 0]]}}, ["stationary", "--input", "q"],
+     "the rates must be a square array of numbers"),
+    ({"q": {"rates": [[0, 1], [1, 0]]}, "p0": [0.5, BEYOND_DOUBLE]},
+     ["entropy", "--kind", "kl", "--input", "q", "--p0", "p0"],
+     "the probability vector must be an array of numbers"),
+    ({"pi": [0.5, 0.5], "S": [[-1, BEYOND_DOUBLE], [1, -1]], "A": [[0, 0], [0, 0]]},
+     ["compose", "--pi", "pi", "--S", "S", "--A", "A"],
+     "S must be a square array of numbers"),
+    ({"fpe": {"gamma": BEYOND_DOUBLE}}, CONTINUUM,
+     "problem invariant violated: gamma must be numbers"),
+    ({"fpe": {"D": [[1, 0], [0, BEYOND_DOUBLE]]}}, CONTINUUM,
+     "problem invariant violated: D must be numbers"),
+    ({"fpe": {"phi": "custom_samples",
+              "phi_samples": [[0] * 4] * 3 + [[0, 0, 0, BEYOND_DOUBLE]]}}, CONTINUUM,
+     "problem invariant violated: phi samples must be numbers"),
+], ids=["q", "rates", "p0", "compose-S", "gamma", "D", "phi_samples"])
+def test_integer_beyond_double_range_exits_2(files, argv, refusal, tmp_path, capsys):
+    for name, obj in files.items():
+        write_json(tmp_path / f"{name}.json", obj)
+    argv = [str(tmp_path / f"{a}.json") if a in files else a for a in argv]
+    assert main(argv) == 2
+    assert refusal in capsys.readouterr().err
+
+
 def test_main_builds_one_parser(q3_path, tmp_path, monkeypatch):
     cli._parser.cache_clear()
     build_calls = mock.Mock(wraps=cli.build_parser)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,17 @@ from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_array
 
 from markov_flow import (
+    decompose,
+    evolve,
+    fpe_problem,
     from_offdiagonal_rates,
     generator_from_json,
     generator_to_json,
     probability_from_json,
     probability_vector,
+    spectral_bound,
     validate_generator,
+    verify_bound,
 )
 from markov_flow.errors import (
     ColumnSumViolation,
@@ -102,6 +109,21 @@ def test_generator_arrays_are_readonly():
     gen = validate_generator([[-1.0, 2.0], [1.0, -2.0]])
     with pytest.raises(ValueError):
         gen.q[0, 0] = 5.0
+
+
+def test_every_result_array_is_readonly():
+    gen = from_offdiagonal_rates([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    d = decompose(gen)
+    traj = evolve(gen, probability_vector([1.0, 0.0, 0.0]), np.linspace(0.0, 1.0, 5))
+    sb = spectral_bound(d)
+    problem = fpe_problem(((-3, 3), (-3, 3)), 4, 4, "quadratic", gamma=0.5)
+    results = [gen, d.pi, d, traj, sb, verify_bound(traj, sb), problem]
+    for result in results:
+        arrays = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+        arrays = {k: v for k, v in arrays.items() if isinstance(v, np.ndarray)}
+        assert arrays, type(result).__name__
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable, (type(result).__name__, name)
 
 
 def test_generator_json_roundtrip():

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from scipy.sparse import csr_array
 
 from markov_flow import (
+    CycleDecomposition,
     compose,
     cycle_decompose,
     decompose,
@@ -170,6 +171,26 @@ def test_compose_matches_decompose():
         d = decompose(gen)
         back = compose(d.pi, d.S, d.A)
         assert np.abs(back.q - gen.q).max() <= 1e-12 * np.abs(gen.q).max()
+
+
+def test_compose_refuses_a_row_sum_error_within_n_flow_tolerances():
+    # symmetric and inside n * FLOW_RTOL * max(|S|, |A|), but five times
+    # the flow checks' FLOW_RTOL * max|F|
+    d = decompose(random_generator(np.random.default_rng(5), 20))
+    s = np.array(d.S)
+    error = 5e-12 * np.abs(d.F).max()
+    s[0, 1] += error
+    s[1, 0] += error
+    with pytest.raises(RowSumViolation, match="zero-sum invariant violated for F"):
+        compose(d.pi, s, d.A)
+
+
+def test_compose_refuses_circulation_with_diagonal():
+    d = decompose(random_generator(np.random.default_rng(5), 20))
+    a = np.array(d.A)
+    a[3, 3] = 1e-16 * np.abs(d.F).max()
+    with pytest.raises(NotAntisymmetric, match="nonzero diagonal"):
+        compose(d.pi, d.S, a)
 
 
 @settings(derandomize=True, deadline=None)
@@ -370,6 +391,13 @@ def test_cycle_decompose_superposition_reconstructs():
         cycles = cycle_decompose(a)
         back = superpose_cycles(cycles, n)
         assert np.abs(back - a).max() <= 1e-14 * max(np.abs(a).max(), 1e-300)
+
+
+@pytest.mark.parametrize("node", [3, -1])
+def test_superpose_cycles_refuses_a_node_outside_the_states(node):
+    cycles = CycleDecomposition(cycles=(((0, 1, node), 0.5),))
+    with pytest.raises(ValueError, match="size invariant violated"):
+        superpose_cycles(cycles, 3)
 
 
 def test_cycle_decompose_rejects_unbalanced():

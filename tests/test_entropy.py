@@ -299,6 +299,24 @@ def test_shannon_split_requires_interior_point():
         shannon_production_split([1.0, 0.0, 0.0], d)
 
 
+def test_shannon_split_rejects_size_mismatch():
+    d = decompose(three_cycle())
+    with pytest.raises(ValueError, match="size invariant violated: p has 2 entries"):
+        shannon_production_split([0.5, 0.5], d)
+
+
+def test_shannon_split_refuses_nan():
+    d = decompose(three_cycle())
+    with pytest.raises(PositivityViolation, match="interior-point requirement"):
+        shannon_production_split([0.2, np.nan, 0.8], d)
+
+
+def test_production_split_refuses_nan():
+    d = decompose(three_cycle())
+    with pytest.raises(NotAntisymmetric, match="quadratic-form invariant"):
+        production_split([0.2, np.nan, 0.8], d)
+
+
 def test_entropy_kind_validation():
     with pytest.raises(ValueError):
         relative_f_kind(lambda x: x * x)  # f(1) != 0
