@@ -285,10 +285,14 @@ def cycle_decompose(A) -> CycleDecomposition:
     Every edge the walk deletes is its tail's lowest remaining out-edge: a
     path edge, a cycle's closing edge or the edge into a popped dead end.
     So each node keeps its successors in ascending order with a head index,
-    and a deletion moves the head.  After a peel the path is cut back to the
-    tail of the first cycle edge, in cycle order, that was deleted: the
-    nodes before it kept their lowest edge, so cutting back to the cycle's
-    first node would only step over the same nodes again.
+    and a deletion moves the head.  Only head edges are ever reduced, so a
+    node's state is its head edge's successor ``nxt[u]`` (-1 once none is
+    left) and residual ``cur[u]``, reloaded from the edge lists only when the
+    head moves.  A node ``v`` is on the path iff ``path[position[v]] == v``,
+    so neither a peel nor a pop resets positions.  After a peel the path is
+    cut back to the tail of the first cycle edge, in cycle order, that was
+    deleted: the nodes before it kept their lowest edge, so cutting back to
+    the cycle's first node would only step over the same nodes again.
 
     The result is not canonical — many exact superpositions exist — but it
     is reproducible.  A count above the circulation DOF ``(n-1)(n-2)/2``
@@ -312,46 +316,50 @@ def cycle_decompose(A) -> CycleDecomposition:
         )
 
     tiny = CYCLE_DUST_RTOL * scale
-    # the edges u -> v as CSR rows of A.T in ascending v: succ[e] is edge e's
-    # head, weight[e] its residual; u's remaining out-edges are
-    # head[u]:ends[u], so deleting u's lowest remaining edge is head[u] += 1
-    tails, succ = np.nonzero(A.T > tiny)
-    weight = A.T[tails, succ].tolist()
-    succ = succ.tolist()
-    ends = np.cumsum(np.bincount(tails, minlength=n)).tolist()
-    head = [0] + ends[:-1]
-    position = [-1] * n
+    # the edges u -> v as rows of A.T in ascending v, each row closed by a
+    # sentinel edge to -1: succ[e] is edge e's head, weight[e] its weight,
+    # head[u] u's lowest remaining out-edge
+    w = np.hstack((A.T, np.full((n, 1), np.inf)))
+    tails, succ = np.nonzero(w > tiny)
+    weight = w[tails, succ].tolist()
+    succ = np.where(succ < n, succ, -1).tolist()
+    head = np.searchsorted(tails, np.arange(n)).tolist()
+    nxt, cur = [succ[h] for h in head], [weight[h] for h in head]
+    position = [0] * n
     cycles = []
     for start in range(n):
         path = [start]
         position[start] = 0
-        while path:
-            u = path[-1]
-            if head[u] == ends[u]:
-                position[path.pop()] = -1
-                if path:
-                    head[path[-1]] += 1
-            elif position[v := succ[head[u]]] < 0:
+        u = start
+        while True:
+            v = nxt[u]
+            if v < 0:
+                path.pop()
+                if not path:
+                    break
+                u = path[-1]
+                h = head[u] = head[u] + 1
+                nxt[u], cur[u] = succ[h], weight[h]
+            elif (first := position[v]) < len(path) and path[first] == v:
+                nodes = path[first:]
+                least = min(map(cur.__getitem__, nodes))
+                cut = -1
+                for x in nodes:
+                    left = cur[x] - least
+                    if left > tiny:
+                        cur[x] = left
+                        continue
+                    h = head[x] = head[x] + 1
+                    nxt[x], cur[x] = succ[h], weight[h]
+                    if cut < 0:
+                        cut = position[x]
+                cycles.append((tuple(nodes), least))
+                del path[cut + 1:]
+                u = path[-1]
+            else:
                 position[v] = len(path)
                 path.append(v)
-            else:
-                first = position[v]
-                nodes = path[first:]
-                edges = [head[x] for x in nodes]
-                least = min([weight[e] for e in edges])
-                cut = None
-                for k, e in enumerate(edges):
-                    weight[e] -= least
-                    if weight[e] <= tiny:
-                        head[nodes[k]] += 1
-                        if cut is None:
-                            cut = k
-                cycles.append((tuple(nodes), least))
-                # the nodes before the first deleted edge keep their lowest
-                # edge, so the walk would step over them again unchanged
-                for x in nodes[cut + 1:]:
-                    position[x] = -1
-                del path[first + cut + 1:]
+                u = v
 
     bound = (n - 1) * (n - 2) // 2
     if len(cycles) > bound:

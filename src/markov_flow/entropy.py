@@ -19,14 +19,15 @@ term of the log-based divergence for contrast.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ProbabilityVector, _check_positive, as_dense
+from .core import ProbabilityVector, _check_positive, _finite_scale, as_dense
 from .decompose import FlowDecomposition
-from .errors import NotAntisymmetric, PositivityViolation
+from .errors import InvalidProbability, NotAntisymmetric, PositivityViolation
 
 PRODUCTION_SPLIT_RTOL = 1e-13
 
@@ -49,9 +50,14 @@ def _with_reference(p, pi):
     return arr, ref
 
 
-def _per_row(values):
-    """A float for one distribution, the array of row values for a stack."""
-    return float(values) if np.ndim(values) == 0 else values
+def _per_row(values, arr):
+    """A float for one distribution, the array of row values for a stack.
+    A value that is not finite raises if ``arr`` (``p``) has such an entry."""
+    scalar = np.ndim(values) == 0
+    values = float(values) if scalar else values
+    if not (math.isfinite(values) if scalar else np.isfinite(values).all()):
+        _finite_scale(arr, "p", InvalidProbability)
+    return values
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -62,13 +68,13 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def shannon_entropy(p) -> float | np.ndarray:
     """``-sum(p_i log p_i)`` in nats, ``0 log 0 = 0``; of each row of a stack."""
     arr = _as_prob_array(p)
-    return _per_row(-_xlogy(arr, arr).sum(axis=-1) + 0.0)
+    return _per_row(-_xlogy(arr, arr).sum(axis=-1) + 0.0, arr)
 
 
 def kl_divergence(p, pi) -> float | np.ndarray:
     """``sum(p_i log(p_i/pi_i)) >= 0`` of ``p`` or of each row of a stack."""
     arr, ref = _with_reference(p, pi)
-    return _per_row(_xlogy(arr, arr / ref).sum(axis=-1) + 0.0)
+    return _per_row(_xlogy(arr, arr / ref).sum(axis=-1) + 0.0, arr)
 
 
 def _check_normalized(f: Callable):
@@ -91,7 +97,7 @@ def relative_f_entropy(p, pi, f: Callable) -> float | np.ndarray:
     _check_normalized(f)
     r = arr / ref
     _midpoint_convexity_check(f, r)
-    return _per_row(-(ref * np.asarray(f(r), dtype=float)).sum(axis=-1))
+    return _per_row(-(ref * np.asarray(f(r), dtype=float)).sum(axis=-1), arr)
 
 
 def _midpoint_convexity_check(f, r: np.ndarray):
@@ -123,7 +129,7 @@ def gini_divergence(p, pi) -> float | np.ndarray:
     """
     arr, ref = _with_reference(p, pi)
     diff = arr - ref
-    return _per_row((diff * diff / ref).sum(axis=-1))
+    return _per_row((diff * diff / ref).sum(axis=-1), arr)
 
 
 def _quadratic_form(r: np.ndarray, m) -> np.ndarray:
@@ -134,7 +140,7 @@ def _quadratic_form(r: np.ndarray, m) -> np.ndarray:
 def gini_production(p, d: FlowDecomposition) -> float | np.ndarray:
     """``2 r^T S r <= 0``, the quadratic divergence's rate, per row of a stack."""
     arr, ref = _with_reference(p, d.pi)
-    return _per_row(_quadratic_form(arr / ref, d.S))
+    return _per_row(_quadratic_form(arr / ref, d.S), arr)
 
 
 def production_split(p, d: FlowDecomposition) -> dict:
@@ -150,7 +156,7 @@ def production_split(p, d: FlowDecomposition) -> dict:
     A = as_dense(d.A)
     a_part = float(_quadratic_form(r, A))
     a_scale = np.linalg.norm(A) * float(r @ r)
-    # also true for a NaN, which a p with a NaN entry gives
+    # also true for a NaN
     if not abs(a_part) <= PRODUCTION_SPLIT_RTOL * max(a_scale, 1e-300):
         raise NotAntisymmetric(
             f"antisymmetric quadratic-form invariant violated: circulation "
@@ -170,6 +176,7 @@ def shannon_production_split(p, d: FlowDecomposition) -> dict:
     """
     arr, ref = _with_reference(p, d.pi)
     if not arr.min() > 0.0:  # also true for a NaN
+        _finite_scale(arr, "p", InvalidProbability)
         i = int(np.argmin(arr))
         raise PositivityViolation(
             f"interior-point requirement violated: p[{i}] = {arr[i]:.3g} <= 0"
@@ -177,8 +184,8 @@ def shannon_production_split(p, d: FlowDecomposition) -> dict:
     r = arr / ref
     weight = 1.0 + np.log(r)
     return {
-        "s_part": float(-(as_dense(d.S) @ r) @ weight),
-        "a_part": float(-(as_dense(d.A) @ r) @ weight),
+        "s_part": _per_row(-(as_dense(d.S) @ r) @ weight, arr),
+        "a_part": _per_row(-(as_dense(d.A) @ r) @ weight, arr),
     }
 
 

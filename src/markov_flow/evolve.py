@@ -82,6 +82,8 @@ class Trajectory:
     def __post_init__(self):
         for name in ("times", "states"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+        traces = {name: _frozen(series) for name, series in self.traces.items()}
+        object.__setattr__(self, "traces", traces)
 
     @property
     def n(self) -> int:

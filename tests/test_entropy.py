@@ -20,7 +20,7 @@ from markov_flow import (
     shannon_entropy,
     shannon_production_split,
 )
-from markov_flow.errors import NotAntisymmetric, PositivityViolation
+from markov_flow.errors import InvalidProbability, NotAntisymmetric, PositivityViolation
 
 from helpers import (
     random_birth_death,
@@ -307,14 +307,34 @@ def test_shannon_split_rejects_size_mismatch():
 
 def test_shannon_split_refuses_nan():
     d = decompose(three_cycle())
-    with pytest.raises(PositivityViolation, match="interior-point requirement"):
+    with pytest.raises(InvalidProbability, match="finiteness invariant"):
         shannon_production_split([0.2, np.nan, 0.8], d)
 
 
 def test_production_split_refuses_nan():
     d = decompose(three_cycle())
-    with pytest.raises(NotAntisymmetric, match="quadratic-form invariant"):
+    with pytest.raises(InvalidProbability, match="finiteness invariant"):
         production_split([0.2, np.nan, 0.8], d)
+
+
+@pytest.mark.parametrize("quantity", [
+    lambda p, d: shannon_entropy(p),
+    lambda p, d: kl_divergence(p, d.pi),
+    lambda p, d: relative_f_entropy(p, d.pi, lambda r: (r - 1.0) ** 2),
+    lambda p, d: gini_divergence(p, d.pi),
+    gini_production,
+], ids=["shannon_entropy", "kl_divergence", "relative_f_entropy",
+        "gini_divergence", "gini_production"])
+@pytest.mark.parametrize("p", [
+    [0.2, np.nan, 0.8],
+    [[0.2, 0.3, 0.5], [0.2, np.inf, 0.8]],
+], ids=["nan", "inf-in-stack"])
+# numpy warns of the inf * 0 in S's quadratic form before the refusal
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_entropy_refuses_nonfinite_p(quantity, p):
+    d = decompose(three_cycle())
+    with pytest.raises(InvalidProbability, match="finiteness invariant violated: p"):
+        quantity(p, d)
 
 
 def test_entropy_kind_validation():

@@ -422,6 +422,20 @@ def test_traces_custom_relative_f_kind_monotone():
     assert traj.traces["sq_dist"].max() <= 1e-12
 
 
+def test_entropy_trace_arrays_are_readonly():
+    gen = three_cycle()
+    traj = evolve(gen, probability_vector([1.0, 0.0, 0.0]), np.linspace(0.0, 1.0, 5))
+    quad = relative_f_kind(lambda x: (x - 1.0) ** 2, name="quad")
+    traj = entropy_trace(traj, decompose(gen),
+                         [SHANNON, RELATIVE_SHANNON, RELATIVE_GINI, quad])
+    assert sorted(traj.traces) == ["gini_divergence", "gini_production", "kl",
+                                   "quad", "shannon"]
+    for name, series in traj.traces.items():
+        assert not series.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            series[0] = 1.0
+
+
 def test_vectorized_traces_equal_per_row_functions():
     rng = np.random.default_rng(29)
     cases = [shannon_nonmonotone()]
