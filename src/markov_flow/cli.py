@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -71,54 +70,22 @@ def _json_text(obj, indent: str = "") -> str:
     numbers, or of non-empty lists of numbers, is one C-encoder call whose
     text is split back into items on ``", "`` or on the indented
     ``"], ["``.  That is byte-safe because no number text contains
-    ``", "``, ``[`` or ``]``.  A list of records, dicts that share the same
-    string keys, is encoded one column per key (:func:`_record_texts`).
-    Other lists and string-keyed dicts recurse; anything else (empty
-    containers, other keys) goes to the stdlib with its newlines indented,
-    since every newline in indented JSON is structural.
+    ``", "``, ``[`` or ``]``.  Other lists and string-keyed dicts recurse;
+    anything else (empty containers, other keys) goes to the stdlib with
+    its newlines indented, since every newline in indented JSON is
+    structural.
     """
     inner = indent + "  "
     if isinstance(obj, (str, int, float)) or obj is None:
         return _flat_json(obj)
     if isinstance(obj, (list, tuple)) and obj:
-        keys = _record_keys(obj)
-        texts = _record_texts(obj, keys, inner) if keys else _column_texts(obj, inner)
-        items = (",\n" + inner).join(texts)
+        items = (",\n" + inner).join(_column_texts(obj, inner))
         return f"[\n{inner}{items}\n{indent}]"
     if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
         items = (",\n" + inner).join(f"{_flat_json(k)}: {_json_text(v, inner)}"
                                       for k, v in sorted(obj.items()))
         return f"{{\n{inner}{items}\n{indent}}}"
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-
-
-def _record_keys(obj) -> list[str] | None:
-    """The sorted keys every item of ``obj`` has, when the items are
-    non-empty dicts with the same string keys; None otherwise."""
-    first = obj[0]
-    if not (isinstance(first, dict) and first
-            and all(isinstance(k, str) for k in first)):
-        return None
-    keys = first.keys()
-    if all(isinstance(r, dict) and r.keys() == keys for r in obj):
-        return sorted(keys)
-    return None
-
-
-def _record_texts(records, keys: list[str], indent: str) -> list[str]:
-    """Each record as ``_json_text(record, indent)``: each key's values are
-    encoded as one column (:func:`_column_texts`) and fill one ``%``
-    template per record, built from the sorted keys."""
-    inner = indent + "  "
-    template = "{\n%s%s\n%s}" % (
-        inner,
-        (",\n" + inner).join(_flat_json(k).replace("%", "%%") + ": %s"
-                             for k in keys),
-        indent,
-    )
-    columns = [_column_texts(list(map(itemgetter(k), records)), inner)
-               for k in keys]
-    return [template % values for values in zip(*columns)]
 
 
 def _column_texts(column: list, indent: str) -> list[str]:
@@ -209,18 +176,22 @@ def _cmd_dual(args) -> int:
     return 0
 
 
+_CYCLE = '    {\n      "nodes": [\n        %s\n      ],\n      "weight": %s\n    }'
+
+
 def _cmd_cycles(args) -> int:
-    d = decompose(generator_from_json(_read_json(args.input)))
-    cycles = cycle_decompose(d.A)
-    _emit_json(
-        {
-            "cycles": [
-                {"nodes": list(nodes), "weight": weight}
-                for nodes, weight in cycles.cycles
-            ]
-        },
-        args.output,
-    )
+    """Writes the text :func:`_emit_json` would write for
+    ``{"cycles": [{"nodes": [...], "weight": w}, ...]}``, rendered straight
+    from the cycle tuples."""
+    gen = generator_from_json(_read_json(args.input))
+    cycles = cycle_decompose(decompose(gen).A).cycles
+    labels = [str(i) for i in range(gen.n)]
+    weights = _flat_json([w for _, w in cycles])[1:-1].split(", ")
+    items = ",\n".join(
+        _CYCLE % (",\n        ".join(map(labels.__getitem__, nodes)), w)
+        for (nodes, _), w in zip(cycles, weights))
+    body = f"[\n{items}\n  ]" if cycles else "[]"
+    _emit_text(f'{{\n  "cycles": {body}\n}}\n', args.output)
     return 0
 
 

@@ -1,7 +1,9 @@
 """Entropies, divergences, and their production along the flow split.
 
-Each quantity takes one distribution ``(n,)`` and returns a float, or a
-stack ``(m, n)`` of distributions, one per row, and returns ``m`` values.
+Each entropy, divergence and :func:`gini_production` takes one
+distribution ``(n,)`` and returns a float, or a stack ``(m, n)`` of
+distributions, one per row, and returns ``m`` values.  The two production
+splits take one distribution only.
 
 Sign convention: the math core works with divergences, which are >= 0 and
 decay toward zero along the evolution.  The entropy-oriented quantities
@@ -58,6 +60,17 @@ def _per_row(values, arr):
     if not (math.isfinite(values) if scalar else np.isfinite(values).all()):
         _finite_scale(arr, "p", InvalidProbability)
     return values
+
+
+def _one_distribution(p, pi, name: str):
+    """:func:`_with_reference` for a ``p`` that is one distribution."""
+    arr = _as_prob_array(p)
+    if arr.ndim != 1:
+        raise ValueError(
+            f"size invariant violated: p has shape {arr.shape}, {name} takes "
+            f"one distribution"
+        )
+    return _with_reference(arr, pi)
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -140,7 +153,10 @@ def _quadratic_form(r: np.ndarray, m) -> np.ndarray:
 def gini_production(p, d: FlowDecomposition) -> float | np.ndarray:
     """``2 r^T S r <= 0``, the quadratic divergence's rate, per row of a stack."""
     arr, ref = _with_reference(p, d.pi)
-    return _per_row(_quadratic_form(arr / ref, d.S), arr)
+    # an infinite entry of p gives NaN values, which _per_row refuses
+    with np.errstate(invalid="ignore"):
+        values = _quadratic_form(arr / ref, d.S)
+    return _per_row(values, arr)
 
 
 def production_split(p, d: FlowDecomposition) -> dict:
@@ -149,12 +165,15 @@ def production_split(p, d: FlowDecomposition) -> dict:
     Returns ``{"s_part": 2 r^T S r, "a_part": 2 r^T A r}``; ``s_part`` is
     :func:`gini_production`.  The circulation part is an antisymmetric
     quadratic form, hence zero; it is computed and checked rather than
-    assumed (:class:`NotAntisymmetric`).
+    assumed (:class:`NotAntisymmetric`).  A stack of distributions raises
+    ``ValueError``.
     """
-    s_part = gini_production(p, d)
-    r = _as_prob_array(p) / d.pi.p
+    arr, ref = _one_distribution(p, d.pi, "production_split")
+    r = arr / ref
     A = as_dense(d.A)
-    a_part = float(_quadratic_form(r, A))
+    with np.errstate(invalid="ignore"):
+        s_part, a_part = _quadratic_form(r, d.S), _quadratic_form(r, A)
+    s_part, a_part = _per_row(s_part, arr), float(a_part)
     a_scale = np.linalg.norm(A) * float(r @ r)
     # also true for a NaN
     if not abs(a_part) <= PRODUCTION_SPLIT_RTOL * max(a_scale, 1e-300):
@@ -172,9 +191,9 @@ def shannon_production_split(p, d: FlowDecomposition) -> dict:
     ``dp/dt = (S + A) r``.  Unlike the quadratic case the ``a_part`` is
     generically nonzero, which is the reason the quadratic divergence is
     the distinguished member of the family.  Requires strictly positive
-    ``p``.
+    ``p``, one distribution: a stack raises ``ValueError``.
     """
-    arr, ref = _with_reference(p, d.pi)
+    arr, ref = _one_distribution(p, d.pi, "shannon_production_split")
     if not arr.min() > 0.0:  # also true for a NaN
         _finite_scale(arr, "p", InvalidProbability)
         i = int(np.argmin(arr))
@@ -183,10 +202,11 @@ def shannon_production_split(p, d: FlowDecomposition) -> dict:
         )
     r = arr / ref
     weight = 1.0 + np.log(r)
-    return {
-        "s_part": _per_row(-(as_dense(d.S) @ r) @ weight, arr),
-        "a_part": _per_row(-(as_dense(d.A) @ r) @ weight, arr),
-    }
+    # an infinite entry of p gives NaN parts, which _per_row refuses
+    with np.errstate(invalid="ignore"):
+        s_part = -(as_dense(d.S) @ r) @ weight
+        a_part = -(as_dense(d.A) @ r) @ weight
+    return {"s_part": _per_row(s_part, arr), "a_part": _per_row(a_part, arr)}
 
 
 @dataclass(frozen=True, eq=False)

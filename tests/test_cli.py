@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markov_flow import cli, generator_to_json
+from markov_flow import cli, cycle_decompose, decompose, generator_from_json, generator_to_json
 from markov_flow.cli import _csv_text, main
 
 from helpers import random_generator
@@ -93,6 +93,41 @@ def test_cycles_subcommand(q3_path, capsys):
     assert main(["cycles", "--input", str(q3_path)]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["cycles"] == [{"nodes": [0, 1, 2], "weight": pytest.approx(1 / 6)}]
+
+
+def stdlib_cycles_text(path) -> bytes:
+    """The stdlib's indented text of the cycles of the generator at ``path``."""
+    gen = generator_from_json(json.loads(path.read_text()))
+    obj = {"cycles": [{"nodes": list(nodes), "weight": weight}
+                      for nodes, weight in cycle_decompose(decompose(gen).A).cycles]}
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_cycles_of_a_reversible_chain_is_an_empty_list(tmp_path):
+    path, out = tmp_path / "q2.json", tmp_path / "cycles.json"
+    write_json(path, {"n": 2, "q": [[-1, 1], [1, -1]]})
+    assert main(["cycles", "--input", str(path), "--output", str(out)]) == 0
+    assert out.read_bytes() == b'{\n  "cycles": []\n}\n' == stdlib_cycles_text(path)
+
+
+def test_cycles_text_of_the_three_cycle(q3_path, tmp_path):
+    out = tmp_path / "cycles.json"
+    assert main(["cycles", "--input", str(q3_path), "--output", str(out)]) == 0
+    weight = json.loads(out.read_text())["cycles"][0]["weight"]
+    assert out.read_bytes() == stdlib_cycles_text(q3_path) == (
+        '{\n  "cycles": [\n    {\n      "nodes": [\n        0,\n        1,\n'
+        '        2\n      ],\n      "weight": %r\n    }\n  ]\n}\n' % weight).encode()
+
+
+def test_cycles_text_with_multi_digit_labels_is_stable(tmp_path):
+    path = tmp_path / "q14.json"
+    write_json(path, generator_to_json(random_generator(np.random.default_rng(7), 14)))
+    outputs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outputs:
+        assert main(["cycles", "--input", str(path), "--output", str(out)]) == 0
+    cycles = json.loads(outputs[0].read_text())["cycles"]
+    assert max(max(c["nodes"]) for c in cycles) >= 10
+    assert outputs[0].read_bytes() == outputs[1].read_bytes() == stdlib_cycles_text(path)
 
 
 def test_entropy_kinds(q2_path, tmp_path, capsys):
@@ -430,20 +465,28 @@ def test_json_text_matches_stdlib_on_generated_documents(obj):
 
 
 def test_emit_json_matches_stdlib_on_cli_outputs(monkeypatch, tmp_path):
+    """The bytes decompose, cycles and continuum write are the stdlib's
+    indented text of what they report."""
     gen_path, problem = tmp_path / "q120.json", tmp_path / "fpe.json"
     write_json(gen_path, generator_to_json(random_generator(np.random.default_rng(61), 120)))
     write_json(problem, {"domain": [[-2, 2], [-2, 2]], "gamma": 0.5})
-    emit, emitted = cli._emit_json, []
-    monkeypatch.setattr(cli, "_emit_json", lambda obj, output: emitted.append(obj))
+    emit, expected = cli._emit_json, {}
+
+    def spy(obj, output):
+        expected[output] = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+        emit(obj, output)
+
+    monkeypatch.setattr(cli, "_emit_json", spy)
+    outputs = {command: str(tmp_path / f"{command}.json")
+               for command in ("decompose", "cycles", "continuum")}
     for argv in (["decompose", "--input", str(gen_path)],
                  ["cycles", "--input", str(gen_path)],
                  ["continuum", "--problem", str(problem), "--grid", "8", "--refine", "2"]):
-        assert main(argv) == 0
-    assert len(emitted) == 3
-    out = tmp_path / "out.json"
-    for obj in emitted:
-        emit(obj, str(out))
-        assert out.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+        assert main([*argv, "--output", outputs[argv[0]]]) == 0
+    assert set(expected) == {outputs["decompose"], outputs["continuum"]}
+    expected[outputs["cycles"]] = stdlib_cycles_text(gen_path)
+    for output, text in expected.items():
+        assert Path(output).read_bytes() == text, output
 
 
 def test_continuum_report(tmp_path):

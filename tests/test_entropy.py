@@ -327,14 +327,32 @@ def test_production_split_refuses_nan():
         "gini_divergence", "gini_production"])
 @pytest.mark.parametrize("p", [
     [0.2, np.nan, 0.8],
+    [0.2, np.inf, 0.8],
     [[0.2, 0.3, 0.5], [0.2, np.inf, 0.8]],
-], ids=["nan", "inf-in-stack"])
-# numpy warns of the inf * 0 in S's quadratic form before the refusal
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+], ids=["nan", "inf", "inf-in-stack"])
 def test_entropy_refuses_nonfinite_p(quantity, p):
     d = decompose(three_cycle())
     with pytest.raises(InvalidProbability, match="finiteness invariant violated: p"):
         quantity(p, d)
+
+
+@pytest.mark.parametrize("split", [production_split, shannon_production_split])
+def test_production_splits_refuse_infinite_p(split):
+    d = decompose(three_cycle())
+    with pytest.raises(InvalidProbability, match="finiteness invariant violated: p"):
+        split([0.2, np.inf, 0.8], d)
+
+
+def test_production_split_refuses_a_stack():
+    d = decompose(three_cycle())
+    with pytest.raises(ValueError, match="size invariant violated: .* one distribution"):
+        production_split([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]], d)
+
+
+def test_shannon_split_refuses_a_stack():
+    d = decompose(three_cycle())
+    with pytest.raises(ValueError, match="size invariant violated: .* one distribution"):
+        shannon_production_split([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]], d)
 
 
 def test_entropy_kind_validation():
