@@ -15,11 +15,18 @@ columns sum to zero by construction.  One array stencil assembles all x
 faces at once; the y faces are the x faces of the transposed fields.  The
 rate matrix is CSR: a cell exchanges flux with at most eight neighbours,
 so a level stores O(n) numbers, and the stationary solve, the flow split and
-the adjointness report all run on the sparse matrices.
+the adjointness report all run on the sparse matrices.  Where each face
+update goes depends only on the grid: that stencil geometry is built at a
+problem's first assembly and kept on the problem.
 Negative off-diagonal rates — the classic failure of central schemes when
 advection beats diffusion on a coarse grid — are clipped to zero; the
 clipped mass is reported and a fraction above 1% of the total off-diagonal
 flux raises instead of silently distorting the chain.
+
+The adjointness report's ``mismatch = ||S - S_d|| / ||L||`` (Frobenius
+norms) compares the symmetric part ``S`` of the flow ``L = Q diag(pi)``
+with the flow ``S_d`` of the diffusion-only twin: the problem at
+``gamma = 0``, assembled on the problem's own stencil geometry.
 
 Cells are indexed row-major: state ``i * ny + j`` is cell ``(i, j)``.
 """
@@ -27,9 +34,10 @@ Cells are indexed row-major: state ``i * ny + j`` is cell ``(i, j)``.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,6 +74,9 @@ class FpeProblem:
     phi: np.ndarray
     diffusion: np.ndarray
     gamma: np.ndarray
+
+    # not a field: the grid's stencil geometry, set by the first assembly
+    _stencil = None
 
     def __post_init__(self):
         for name in ("phi", "diffusion", "gamma"):
@@ -235,12 +246,16 @@ def _domain_bounds(domain) -> tuple[float, float, float, float]:
 def _check_diffusion(d: np.ndarray):
     if not np.isfinite(d).all():
         raise ValueError("problem invariant violated: D must be finite")
-    scale = max(np.abs(d).max(), 1e-300)
+    # the checks read D scaled by the power of two that brings max|D| into
+    # [0.5, 1): the scaling is exact, and det's products cannot overflow
+    e = int(np.frexp(np.abs(d).max())[1])
+    d = np.ldexp(d, -e)
+    scale = np.abs(d).max()
     tol = DIFFUSION_RTOL * scale
     asym = np.abs(d[..., 0, 1] - d[..., 1, 0]).max()
     if asym > tol:
         raise ValueError(
-            f"diffusion symmetry violated: max|D01 - D10| = {asym:.3g}"
+            f"diffusion symmetry violated: max|D01 - D10| = {np.ldexp(asym, e):.3g}"
         )
     det = d[..., 0, 0] * d[..., 1, 1] - d[..., 0, 1] * d[..., 1, 0]
     if d[..., 0, 0].min() < -tol or d[..., 1, 1].min() < -tol \
@@ -279,32 +294,18 @@ def discretize_fpe(problem: FpeProblem) -> GeneratorMatrix:
     return gen
 
 
-def _face_fluxes(phi, d_nn, d_nt, g_nt, ids, h_n, h_t, offsets):
-    """The fluxes through every face normal to the fields' first axis, as
-    ``(keys, values)`` rate updates.
+def _face_keys(ids, offsets):
+    """Where the updates of :func:`_face_values` go: the key of each.
 
-    Fields are indexed (normal, transverse).  ``d_nn`` and ``d_nt`` are
-    the normal-normal and normal-transverse entries of ``D`` and ``g_nt``
-    the normal-transverse entry of ``G``, each averaged over the face's two
-    cells; ``ids`` holds the cells' int32 state indices and ``h_n``, ``h_t``
-    are the normal and transverse spacings.  The transverse gradient is a
-    central difference clamped at the walls.  The flux through the face
-    between ``lo = [a, b]`` and ``hi = [a + 1, b]`` is added to ``lo``'s
-    row and taken from ``hi``'s, so every column keeps a zero sum.  An
-    update's key is ``9 * row + slot``, where ``slot`` is the rank of its
-    column's offset from its row among the nine sorted stencil ``offsets``.
+    ``ids`` holds the cells' int32 state indices, indexed (normal,
+    transverse).  The flux through the face between ``lo = [a, b]`` and
+    ``hi = [a + 1, b]`` is added to ``lo``'s row and taken from ``hi``'s, so
+    every column keeps a zero sum.  An update's key is ``9 * row + slot``,
+    where ``slot`` is the rank of its column's offset from its row among the
+    nine sorted stencil ``offsets``.
     """
-    k = np.arange(phi.shape[1])
+    k = np.arange(ids.shape[1])
     up, dn = np.minimum(k + 1, k[-1]), np.maximum(k - 1, 0)
-    nn = 0.5 * (d_nn[:-1] + d_nn[1:])
-    nt = 0.5 * (d_nt[:-1] + g_nt[:-1] + d_nt[1:] + g_nt[1:])
-    dphi_n = (phi[1:] - phi[:-1]) / h_n
-    dphi_t = (phi[:, up] - phi[:, dn]) / (2.0 * h_t)
-    w = nt * 0.5 / (2.0 * h_t)
-    coeffs = np.stack([nn * (0.5 * dphi_n - 1.0 / h_n),
-                       nn * (0.5 * dphi_n + 1.0 / h_n),
-                       nt * 0.5 * dphi_t[:-1], w, -w,
-                       nt * 0.5 * dphi_t[1:], w, -w], axis=-1) / h_n
     # one update per (face, term, side), in that order, so each rate sums
     # its terms face by face: a term goes to lo's row, then from hi's
     rows = np.stack([ids[:-1], ids[1:]], axis=-1)[:, :, np.newaxis, :]
@@ -313,53 +314,99 @@ def _face_fluxes(phi, d_nn, d_nt, g_nt, ids, h_n, h_t, offsets):
     lo, hi = ids[0], ids[1]
     cols = np.stack([lo, hi, lo, lo[up], lo[dn], hi, hi[up], hi[dn]], axis=-1)
     slots = np.searchsorted(offsets, cols[:, :, np.newaxis] - rows[0])
-    return ((9 * rows + slots.astype(np.int32)).ravel(),
-            np.stack([coeffs, -coeffs], axis=-1).ravel())
+    return (9 * rows + slots.astype(np.int32)).ravel()
 
 
-def discretize_fpe_detailed(problem: FpeProblem):
-    """Assemble the finite-volume rate matrix and the clipping report.
+def _face_values(out, phi, d_nn, d_nt, g_nt, h_n, h_t):
+    """Write the rate updates of the fluxes through every face normal to
+    the fields' first axis into ``out``, in the order of :func:`_face_keys`.
 
-    Returns ``(generator, clip_report)``; the generator is CSR.  The face
-    updates of each rate are summed in assembly order, so the rates are
-    those of the face-by-face loop to the last bit.  The summed rates come
-    out in (row, column) order and become the CSR arrays of the rate matrix
-    as they are.  Raises :class:`ExcessiveClipping` when more than 1% of
-    the off-diagonal flux magnitude had to be removed — the scheme is then
-    too coarse for the advection strength and the detailed-balance
-    structure would be distorted beyond the discretization error.
+    Fields are indexed (normal, transverse).  ``d_nn`` and ``d_nt`` are
+    the normal-normal and normal-transverse entries of ``D`` and ``g_nt``
+    the normal-transverse entry of ``G``, each averaged over the face's two
+    cells; ``h_n``, ``h_t`` are the normal and transverse spacings.  The
+    transverse gradient is a central difference clamped at the walls.
     """
-    from scipy.sparse import csr_array
+    k = np.arange(phi.shape[1])
+    up, dn = np.minimum(k + 1, k[-1]), np.maximum(k - 1, 0)
+    nn = 0.5 * (d_nn[:-1] + d_nn[1:])
+    nt = 0.5 * (d_nt[:-1] + g_nt[:-1] + d_nt[1:] + g_nt[1:])
+    dphi_n = (phi[1:] - phi[:-1]) / h_n
+    dphi_t = (phi[:, up] - phi[:, dn]) / (2.0 * h_t)
+    w = nt * 0.5 / (2.0 * h_t)
+    terms = (nn * (0.5 * dphi_n - 1.0 / h_n), nn * (0.5 * dphi_n + 1.0 / h_n),
+             nt * 0.5 * dphi_t[:-1], w, -w, nt * 0.5 * dphi_t[1:], w, -w)
+    # indexed (face, transverse, term, side): lo's row gains each term and
+    # hi's row loses it
+    updates = out.reshape(nn.shape + (len(terms), 2))
+    for k, term in enumerate(terms):
+        np.divide(term, h_n, out=updates[:, :, k, 0])
+    np.negative(updates[..., 0], out=updates[..., 1])
 
-    phi, dif, gam = problem.phi, problem.diffusion, problem.gamma
-    n, ny = problem.n, problem.ny
-    ids = np.arange(n, dtype=np.int32).reshape(problem.nx, ny)
+
+def _stencil_geometry(nx: int, ny: int):
+    """The stencil geometry of an ``nx``-by-``ny`` grid, ``(bins, indices,
+    indptr)``, read-only.
+
+    ``bins`` holds, for each face update (x faces first), the rate it adds
+    to: that rate's position in the CSR arrays, or one spare bin past the
+    last rate for an update of the diagonal, which is dropped.  ``indices``
+    and ``indptr`` are the CSR pattern of the off-diagonal rates.
+    """
+    n = nx * ny
+    ids = np.arange(n, dtype=np.int32).reshape(nx, ny)
     # a rate's key is its row and the rank of its column's offset among the
-    # nine stencil offsets: keys sort as (row, col) pairs do, and bincount
-    # adds each key's updates in assembly order
+    # nine stencil offsets: keys sort as (row, col) pairs do
     offsets = np.array([-ny - 1, -ny, -ny + 1, -1, 0, 1, ny - 1, ny, ny + 1],
                        dtype=np.int32)
-    # x faces; the y faces are the x faces of the transposed fields, where
-    # G's off-axis entry changes sign
-    updates = zip(
-        _face_fluxes(phi, dif[..., 0, 0], dif[..., 0, 1], gam, ids,
-                     problem.hx, problem.hy, offsets),
-        _face_fluxes(phi.T, dif[..., 1, 1].T, dif[..., 1, 0].T, -gam.T,
-                     ids.T, problem.hy, problem.hx, offsets),
-    )
-    keys, values = (np.concatenate(pair) for pair in updates)
+    # the y faces are the x faces of the transposed grid
+    keys = np.concatenate([_face_keys(ids, offsets), _face_keys(ids.T, offsets)])
     present = np.zeros(9 * n, dtype=bool)
     present[keys] = True
     present[4::9] = False   # the diagonal
     slots = np.flatnonzero(present).astype(np.int32)
-    rates = np.bincount(keys, weights=values, minlength=9 * n)[slots]
+    rank = np.full(9 * n, slots.size, dtype=np.int32)
+    rank[slots] = np.arange(slots.size, dtype=np.int32)
+    cells = slots // 9
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cells, minlength=n), out=indptr[1:])
+    geometry = rank[keys], cells + offsets[slots % 9], indptr
+    for array in geometry:
+        array.flags.writeable = False
+    return geometry
 
-    negatives = rates < 0.0
-    report = ClipReport(
-        clipped_total=float(np.abs(rates[negatives]).sum()),
-        offdiag_total=float(np.abs(rates).sum()),
-        entries_clipped=int(negatives.sum()),
-    )
+
+def _assemble(problem: FpeProblem, gamma: np.ndarray):
+    """``(generator, clip_report)`` of ``problem``'s operator with ``gamma``
+    in place of ``problem.gamma``; see :func:`discretize_fpe_detailed`.
+
+    Rates that overflow are left to :func:`from_offdiagonal_rates`'s
+    finiteness check.
+    """
+    from scipy.sparse import csr_array
+
+    if problem._stencil is None:
+        object.__setattr__(problem, "_stencil",
+                           _stencil_geometry(problem.nx, problem.ny))
+    bins, indices, indptr = problem._stencil
+    phi, dif, n = problem.phi, problem.diffusion, problem.n
+    values = np.empty(bins.size)
+    x_faces = 16 * (problem.nx - 1) * problem.ny
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the y faces are the x faces of the transposed fields, where G's
+        # off-axis entry changes sign
+        _face_values(values[:x_faces], phi, dif[..., 0, 0], dif[..., 0, 1],
+                     gamma, problem.hx, problem.hy)
+        _face_values(values[x_faces:], phi.T, dif[..., 1, 1].T, dif[..., 1, 0].T,
+                     -gamma.T, problem.hy, problem.hx)
+        # bincount adds each rate's updates in assembly order
+        rates = np.bincount(bins, weights=values, minlength=indices.size + 1)[:-1]
+        negatives = rates < 0.0
+        report = ClipReport(
+            clipped_total=float(np.abs(rates[negatives]).sum()),
+            offdiag_total=float(np.abs(rates).sum()),
+            entries_clipped=int(negatives.sum()),
+        )
     if report.entries_clipped:
         log.info(
             "clipped %d negative rates totalling %.3g (%.4f%% of off-diagonal flux)",
@@ -372,12 +419,27 @@ def discretize_fpe_detailed(problem: FpeProblem):
             "advection strength"
         )
     rates[negatives] = 0.0
-    cells = slots // 9
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cells, minlength=n), out=indptr[1:])
     return from_offdiagonal_rates(
-        csr_array((rates, cells + offsets[slots % 9], indptr), shape=(n, n))
+        csr_array((rates, indices, indptr), shape=(n, n))
     ), report
+
+
+def discretize_fpe_detailed(problem: FpeProblem):
+    """Assemble the finite-volume rate matrix and the clipping report.
+
+    Returns ``(generator, clip_report)``; the generator is CSR.  The face
+    updates of each rate are summed in assembly order, so the rates are
+    those of the face-by-face loop to the last bit.  The summed rates come
+    out in (row, column) order and become the CSR arrays of the rate matrix
+    as they are.  Where each update goes depends only on the grid: that
+    stencil geometry is built once per problem and stored on it.  Raises
+    :class:`ExcessiveClipping` when more than 1% of the off-diagonal flux
+    magnitude had to be removed — the scheme is then too coarse for the
+    advection strength and the detailed-balance structure would be
+    distorted beyond the discretization error — and
+    :class:`~markov_flow.errors.MarkovFlowError` when a rate overflows.
+    """
+    return _assemble(problem, problem.gamma)
 
 
 def polynomial_probes(problem: FpeProblem, seed: int = 0) -> np.ndarray:
@@ -423,13 +485,19 @@ def operator_symmetry_report(problem: FpeProblem,
     weighting a pure-diffusion problem yields an exactly symmetric ``L``.
     The probes are ``polynomial_probes`` with seeds 0 (``f``) and 1
     (``g``); each part is applied to each probe block once.
+
+    ``S_d`` in ``mismatch = ||S - S_d|| / ||L||`` (Frobenius norms) is the
+    flow of the diffusion-only twin: ``problem`` at ``gamma = 0``, assembled
+    on the stencil geometry stored on ``problem``, with its own ``pi``.
+    Norms and probe products are taken of matrices scaled by a power of
+    two (:func:`_unit_scaled`), so no square overflows at any scale of ``D``.
     """
     if d.n != problem.n:
         raise ValueError(
             f"size invariant violated: decomposition has {d.n} states, "
             f"the {problem.nx}x{problem.ny} grid has {problem.n} cells"
         )
-    from scipy.sparse.linalg import norm as sparse_norm
+    from scipy.sparse import csr_array
 
     f = polynomial_probes(problem, seed=0)
     g = polynomial_probes(problem, seed=1)
@@ -438,18 +506,34 @@ def operator_symmetry_report(problem: FpeProblem,
 
     def residual(m, sign):
         """max over probe pairs of |<Mf, g> - sign <f, Mg>|, relative."""
+        data, _ = _unit_scaled(m)
+        m = csr_array((data, m.indices, m.indptr), shape=m.shape)
         pairs = (f @ m.T) @ g.T - sign * (f @ (g @ m.T).T)
-        return float((np.abs(pairs) / fg).max()) / max(float(sparse_norm(m)), 1e-300)
+        return float((np.abs(pairs) / fg).max()) / max(float(np.linalg.norm(data)), 1e-300)
 
-    q_d = discretize_fpe(replace(problem, gamma=np.zeros_like(problem.gamma)))
+    # the diffusion-only twin, on this problem's stencil geometry
+    q_d, _ = _assemble(problem, np.zeros_like(problem.gamma))
     s_d = _flow(q_d.q, stationary_solve(q_d).p)
-    l_norm = max(float(sparse_norm(d.F)), 1e-300)
+    diff, e_diff = _unit_scaled(d.S - s_d)
+    flow, e_flow = _unit_scaled(d.F)
+    l_norm = max(float(np.linalg.norm(flow)), 1e-300)
+    with np.errstate(over="ignore"):    # a norm beyond double range reads inf
+        operator_norm = float(np.ldexp(l_norm, e_flow))
     return OperatorSymmetryReport(
         sym_residual=residual(d.S, 1.0),
         anti_residual=residual(d.A, -1.0),
-        mismatch=float(sparse_norm(d.S - s_d)) / l_norm,
-        operator_norm=l_norm,
+        mismatch=math.ldexp(float(np.linalg.norm(diff)) / l_norm, e_diff - e_flow),
+        operator_norm=operator_norm,
     )
+
+
+def _unit_scaled(m):
+    """``(data, e)``: the values of a canonical CSR ``m`` times ``2**-e``,
+    with the ``e`` that brings max|m| into [0.5, 1) (0 for a zero ``m``).
+    The scaling is exact, so a ratio of norms or probe products of scaled
+    matrices is that of the matrices themselves to the last bit."""
+    e = int(np.frexp(_max_abs(m))[1])
+    return np.ldexp(m.data, -e), e
 
 
 def refinement_study(domain, grids, phi, diffusion="identity", gamma=0.0):

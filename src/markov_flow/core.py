@@ -17,9 +17,12 @@ A CSR operand is canonical (sorted column indices, no duplicates) and is
 built straight from its arrays: :func:`from_offdiagonal_rates` takes the
 continuum stencil's sorted rates and merges each row's diagonal into
 place, and every check reads ``.data``, ``.indices`` and ``.indptr``
-directly.  :func:`validate_generator` copies its input once, since the
-caller keeps it, and :class:`GeneratorMatrix` freezes a canonical CSR array
-without copying it again.  The stationary solve takes a reversible
+directly.  :func:`validate_generator` copies a CSR input whose values are
+writable, since the caller keeps it; a frozen one (read-only values, as
+:func:`from_offdiagonal_rates` hands over the array it has just built, or
+a generator's ``q``) is validated in place, and :class:`GeneratorMatrix`
+freezes a canonical CSR array without copying it again.  Validation
+derives each entry's row once.  The stationary solve takes a reversible
 chain's ``pi`` from rate ratios on its arrays, and otherwise splices its
 anchor row into them and hands SuperLU one CSC copy; the flow split
 computes ``F`` on ``q``'s pattern and its parts by one transpose and two
@@ -135,16 +138,28 @@ def _frozen(m):
     other sparse ``m`` is copied into a canonical CSR array first.
     """
     if _issparse(m):
-        from scipy.sparse import csr_array
-
-        if not (isinstance(m, csr_array) and m.dtype == float
-                and m.has_canonical_format):
-            m = csr_array(m, dtype=float, copy=True)
-            m.sum_duplicates()
+        if not _canonical_csr(m):
+            m = _canonical_copy(m)
         m.data.flags.writeable = False
     else:
         m = np.asarray(m, dtype=float)
         m.flags.writeable = False
+    return m
+
+
+def _canonical_csr(m) -> bool:
+    """Whether the sparse ``m`` is a float CSR array in canonical form."""
+    from scipy.sparse import csr_array
+
+    return isinstance(m, csr_array) and m.dtype == float and m.has_canonical_format
+
+
+def _canonical_copy(m):
+    """A canonical float CSR copy of the sparse ``m``."""
+    from scipy.sparse import csr_array
+
+    m = csr_array(m, dtype=float, copy=True)
+    m.sum_duplicates()
     return m
 
 
@@ -246,20 +261,25 @@ def _support_classes(adjacency):
     return classes, closed
 
 
-def _strongly_connected(q) -> bool:
+def _strongly_connected(q, off=None) -> bool:
     """Whether the positive entries of a dense or CSR ``q`` form a strongly
     connected graph.
 
     A support with every off-diagonal rate positive is the complete graph,
     so it is connected without a graph search: only a support with a
-    missing edge goes to csgraph.  That graph is handed over as a CSR array
-    built from the support directly, which skips the masked-array pass
-    csgraph makes over a dense input.  Its edge ``i -> j`` is the rate
-    ``j -> i``: reversing every edge keeps the strong components, so no
-    transpose is needed.
+    missing edge goes to csgraph.  A CSR ``q`` whose stored off-diagonal
+    entries are all positive is handed over as it is, since csgraph reads
+    only its pattern and a stored diagonal entry is a self-loop, which
+    joins no two states; ``off`` marks those off-diagonal entries when the
+    caller has the mask.  Any other support is handed over as a CSR array
+    built from it directly, which skips the masked-array pass csgraph makes
+    over a dense input.  Its edge ``i -> j`` is the rate ``j -> i``:
+    reversing every edge keeps the strong components, so no transpose is
+    needed.
     """
     n = q.shape[0]
-    positive = (q.data if _issparse(q) else q) > 0.0
+    sparse = _issparse(q)
+    positive = (q.data if sparse else q) > 0.0
     count = np.count_nonzero(positive)
     # a diagonal entry positive within the column-sum tolerance is no edge
     if (count >= n * (n - 1)
@@ -268,16 +288,21 @@ def _strongly_connected(q) -> bool:
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
-    if _issparse(q):
-        rows = _entry_rows(q)[positive]
-        cols = q.indices[positive]
+    if sparse:
+        if off is None:
+            off = q.indices != _entry_rows(q)
+        edges = None if (positive | ~off).all() else (_entry_rows(q)[positive],
+                                                      q.indices[positive])
     else:
-        rows, cols = np.nonzero(positive)
-    # csgraph walks C-contiguous int32 indices; np.nonzero's are strided
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    support = csr_array((np.ones(rows.size), cols.astype(np.int32), indptr),
-                        shape=(n, n))
+        edges = np.nonzero(positive)
+    support = q
+    if edges is not None:
+        rows, cols = edges
+        # csgraph walks C-contiguous int32 indices; np.nonzero's are strided
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        support = csr_array((np.ones(rows.size), cols.astype(np.int32), indptr),
+                            shape=(n, n))
     return connected_components(
         support, directed=True, connection="strong", return_labels=False
     ) == 1
@@ -290,11 +315,11 @@ def _entry_rows(m) -> np.ndarray:
 
 
 def _offdiagonal(m):
-    """The off-diagonal entries of a CSR ``m`` as ``(rows, cols, values)``,
-    in storage order."""
+    """The mask of the off-diagonal stored entries of a CSR ``m``, and those
+    entries as ``(rows, cols, values)`` in storage order."""
     rows = _entry_rows(m)
     off = m.indices != rows
-    return rows[off], m.indices[off], m.data[off]
+    return off, (rows[off], m.indices[off], m.data[off])
 
 
 def _least(rows, cols, values):
@@ -311,7 +336,7 @@ def _least_offdiagonal(m):
     """``(value, i, j)`` of the least off-diagonal entry of ``m``, dense or
     CSR; the entries a CSR ``m`` does not store count as zeros."""
     if _issparse(m):
-        return _least(*_offdiagonal(m))
+        return _least(*_offdiagonal(m)[1])
     off = m.copy()
     np.fill_diagonal(off, 0.0)
     k = int(off.argmin())
@@ -343,7 +368,9 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
     ----------
     raw : array_like or CSR array, shape (n, n)
         Candidate generator.  With ``convention="row"`` the input is
-        transposed before any check runs.  A CSR input gives a CSR generator.
+        transposed before any check runs.  A CSR input gives a CSR
+        generator; it is copied unless it is a canonical float CSR array
+        with read-only values, which the generator then shares.
     convention : {"column", "row"}
 
     Raises
@@ -356,10 +383,9 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
     """
     sparse = _issparse(raw)
     if sparse:
-        from scipy.sparse import csr_array
-
-        q = csr_array(raw, dtype=float, copy=True)
-        q.sum_duplicates()
+        # the caller keeps its array: one with writable values is copied
+        frozen = _canonical_csr(raw) and not raw.data.flags.writeable
+        q = raw if frozen else _canonical_copy(raw)
     else:
         q = _float_array(raw, "the generator q")
     _check_square(q, "generator")
@@ -369,7 +395,12 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
         raise ValueError(f"unknown convention {convention!r}; use 'column' or 'row'")
 
     scale = _finite_scale(q, "the generator")
-    least, i, j = _least_offdiagonal(q)
+    if sparse:
+        off, entries = _offdiagonal(q)
+        least, i, j = _least(*entries)
+    else:
+        off = None
+        least, i, j = _least_offdiagonal(q)
     if least < -NEGATIVE_RATE_RTOL * scale:
         raise NegativeRate(f"rate invariant violated: q[{i},{j}] = {least:.6g} < 0")
     col_sums = _sums(q, axis=0)
@@ -379,7 +410,7 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
             f"column-sum invariant violated: column {worst} sums to "
             f"{col_sums[worst]:.6g} (tolerance {COLUMN_SUM_RTOL * scale:.3g})"
         )
-    if not _strongly_connected(q):
+    if not _strongly_connected(q, off):
         classes, closed = _support_classes(q.T > 0.0)
         raise Reducible(
             "irreducibility invariant violated: "
@@ -404,18 +435,13 @@ def from_offdiagonal_rates(rates) -> GeneratorMatrix:
     """
     sparse = _issparse(rates)
     if sparse:
-        from scipy.sparse import csr_array
-
         # the arrays are only read; a non-canonical input is summed on a copy
-        r = csr_array(rates, dtype=float)
-        if not r.has_canonical_format:
-            r = r.copy()
-            r.sum_duplicates()
+        r = rates if _canonical_csr(rates) else _canonical_copy(rates)
     else:
         r = _float_array(rates, "the rates")
     _check_square(r, "rate matrix")
     if sparse:
-        rows, cols, values = _offdiagonal(r)
+        _, (rows, cols, values) = _offdiagonal(r)
         scale = _finite_scale(values, "the rate matrix")
         least, i, j = _least(rows, cols, values)
     else:
@@ -457,7 +483,11 @@ def _csr_generator(rows, cols, rates, n: int):
     indices[on_diagonal] = np.arange(n)
     indptr = np.zeros(n + 1, dtype=cols.dtype)
     np.cumsum(np.bincount(rows, minlength=n) + 1, out=indptr[1:])
-    return csr_array((data, indices, indptr), shape=(n, n))
+    q = csr_array((data, indices, indptr), shape=(n, n))
+    q.has_canonical_format = True
+    # frozen, so that validate_generator reads it in place
+    q.data.flags.writeable = False
+    return q
 
 
 def generator_from_json(obj: dict) -> GeneratorMatrix:

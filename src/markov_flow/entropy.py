@@ -35,9 +35,17 @@ PRODUCTION_SPLIT_RTOL = 1e-13
 
 
 def _as_prob_array(p) -> np.ndarray:
+    """``p`` as a float array, one distribution or a stack of them; a 0-d
+    ``p`` raises ``ValueError``."""
     if isinstance(p, ProbabilityVector):
         return p.p
-    return np.asarray(p, dtype=float)
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim == 0:
+        raise ValueError(
+            f"size invariant violated: a distribution has an entry per state, "
+            f"got the scalar {arr.item()!r}"
+        )
+    return arr
 
 
 def _with_reference(p, pi):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,8 +36,9 @@ from markov_flow import (
     superpose_cycles,
     verify_bound,
 )
+from markov_flow.continuum import _assemble
 from markov_flow.decompose import FlowDecomposition
-from markov_flow.errors import ExcessiveClipping, Overflow, TooLarge
+from markov_flow.errors import ExcessiveClipping, MarkovFlowError, Overflow, TooLarge
 
 from helpers import count_calls
 
@@ -396,6 +398,77 @@ def test_twisted_study_factors_once_per_level(monkeypatch):
         assert abs(lv["mismatch"] - ref["mismatch"]) <= 1e-12 * ref["mismatch"]
         assert {k: v for k, v in lv.items() if k != "mismatch"} \
             == {k: v for k, v in ref.items() if k != "mismatch"}
+
+
+@pytest.mark.parametrize("problem", [
+    lambda: fpe_problem(DOMAIN, 12, 12, "quadratic", "identity", 0.5),
+    lambda: fpe_problem(DOMAIN, 12, 10, "quadratic", "identity",
+                        lambda x, y: 0.3 + 0.1 * x * y),
+    lambda: fpe_problem(DOMAIN, 12, 12, "double_well", "identity", 0.5),
+    # D_xy keeps the twin's transverse terms
+    lambda: fpe_problem(DOMAIN, 12, 12, "quadratic", [[1.0, 0.01], [0.01, 1.0]], 0.5),
+], ids=["gamma-0.5", "gamma-field", "double-well", "D_xy"])
+def test_twin_on_the_stored_geometry_is_the_gamma_free_operator(problem):
+    prob = problem()
+    discretize_fpe(prob)
+    geometry = prob._stencil
+    twin, _ = _assemble(prob, np.zeros_like(prob.gamma))
+    assert prob._stencil is geometry
+    fresh = discretize_fpe(replace(prob, gamma=np.zeros_like(prob.gamma))).q
+    for name in ("indptr", "indices", "data"):
+        assert getattr(twin.q, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+
+def test_study_builds_each_level_geometry_once(monkeypatch):
+    build = count_calls(monkeypatch, "markov_flow.continuum", "_stencil_geometry")
+    refinement_study(DOMAIN, (16, 32), "quadratic", "identity", 0.5)
+    assert build.call_count == 2
+
+
+def _reference_level(grid):
+    """One level of the study from the public functions, on fresh problems."""
+    def fresh():
+        return fpe_problem(DOMAIN, grid, grid, "quadratic", "identity", 0.5)
+
+    gen, clip = discretize_fpe_detailed(fresh())
+    d = decompose(gen)
+    prob = fresh()
+    ops = operator_symmetry_report(prob, decompose(discretize_fpe(prob)))
+    return {
+        "grid": grid,
+        "n": grid * grid,
+        "l1_error_gibbs": float(np.abs(d.pi.p - gibbs_distribution(fresh()).p).sum()),
+        "clip_fraction": clip.fraction,
+        "max_circulation_rel": float(np.abs(d.A).max() / np.abs(d.F).max()),
+        "sym_residual": ops.sym_residual,
+        "anti_residual": ops.anti_residual,
+        "mismatch": ops.mismatch,
+    }
+
+
+def test_study_levels_equal_the_public_functions_on_fresh_problems():
+    levels = refinement_study(DOMAIN, (16, 32), "quadratic", "identity", 0.5)
+    # the reference runs the grids in the other order
+    reference = [_reference_level(grid) for grid in (32, 16)][::-1]
+    assert levels == reference
+
+
+def test_extreme_diffusion_scale_leaves_the_report_scale_free():
+    scale = 2.0 ** 600
+    big = refinement_study(DOMAIN, (16, 32), "quadratic",
+                           [[scale, 0.0], [0.0, scale]], 0.5 * scale)
+    unit = refinement_study(DOMAIN, (16, 32), "quadratic", "identity", 0.5)
+    for lv, ref in zip(big, unit, strict=True):
+        assert all(np.isfinite(value) for value in lv.values()), lv
+        assert max(lv["sym_residual"], lv["anti_residual"]) <= 1e-12, lv
+        for key in ("l1_error_gibbs", "max_circulation_rel", "mismatch"):
+            assert abs(lv[key] - ref[key]) <= 1e-10 * abs(ref[key]), (key, lv, ref)
+
+
+def test_overflowing_rates_raise_the_finiteness_error():
+    prob = fpe_problem(DOMAIN, 8, 8, "quadratic", "identity", 1e308)
+    with pytest.raises(MarkovFlowError, match="finiteness invariant violated"):
+        discretize_fpe(prob)
 
 
 def test_refinement_study_needs_resamplable_fields():

@@ -389,6 +389,15 @@ def test_canonical_csr_generator_is_frozen_without_a_copy():
     assert GeneratorMatrix(q).q is q       # and nothing copies it again
 
 
+def test_built_csr_generator_is_validated_without_a_copy(monkeypatch):
+    copies = count_calls(monkeypatch, "markov_flow.core", "_canonical_copy")
+    q = from_offdiagonal_rates(csr_array(AWKWARD_RATES)).q
+    assert copies.call_count == 0
+    # a frozen canonical array is read in place; the generator shares it
+    assert validate_generator(q).q is q
+    assert copies.call_count == 0
+
+
 @pytest.mark.parametrize("link", [0.0, -1e-15], ids=["explicit-zero", "tiny-negative"])
 def test_csr_link_that_is_not_a_rate_leaves_the_chain_reducible(link):
     # classes {0, 1} and {2, 3}: the rate 0 -> 2 is positive, and the

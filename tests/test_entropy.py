@@ -317,7 +317,8 @@ def test_production_split_refuses_nan():
         production_split([0.2, np.nan, 0.8], d)
 
 
-@pytest.mark.parametrize("quantity", [
+# each entropy function that takes one distribution or a stack
+per_row_quantities = pytest.mark.parametrize("quantity", [
     lambda p, d: shannon_entropy(p),
     lambda p, d: kl_divergence(p, d.pi),
     lambda p, d: relative_f_entropy(p, d.pi, lambda r: (r - 1.0) ** 2),
@@ -325,6 +326,16 @@ def test_production_split_refuses_nan():
     gini_production,
 ], ids=["shannon_entropy", "kl_divergence", "relative_f_entropy",
         "gini_divergence", "gini_production"])
+
+
+@per_row_quantities
+def test_entropy_refuses_a_scalar_p(quantity):
+    d = decompose(three_cycle())
+    with pytest.raises(ValueError, match="size invariant violated: .* scalar 0.5"):
+        quantity(0.5, d)
+
+
+@per_row_quantities
 @pytest.mark.parametrize("p", [
     [0.2, np.nan, 0.8],
     [0.2, np.inf, 0.8],
