@@ -35,13 +35,11 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeneratorMatrix, ProbabilityVector, _frozen, _max_abs, from_offdiagonal_rates
+from .core import GeneratorMatrix, ProbabilityVector, _frozen, _max_abs, _read_numbers, from_offdiagonal_rates
 from .decompose import FlowDecomposition, _flow, decompose
 from .errors import ExcessiveClipping, Overflow, TooLarge
 from .stationary import stationary_solve
@@ -115,8 +113,9 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
     array.  ``diffusion`` may be ``"identity"``, a constant 2x2 matrix, a
     callable returning one per point, or a full (nx, ny, 2, 2) array.
     ``gamma`` may be a scalar, a callable, or an (nx, ny) array.  Samples
-    must be finite real numbers: a boolean, ``None``, a NaN, an infinity or
-    a wrongly shaped field raises ``ValueError``.
+    and domain bounds must be numbers, ints or floats with numpy scalars
+    included: a bool, ``None``, a string, a NaN or infinite sample or a
+    wrongly shaped field raises ``ValueError``.
     """
     xlo, xhi, ylo, yhi = _domain_bounds(domain)
     if nx < 4 or ny < 4:
@@ -140,7 +139,7 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
             )
         phi_field = PHI_CATALOG[phi](xg, yg)
     else:
-        phi_field = _samples(phi(xg, yg) if callable(phi) else phi, "phi samples")
+        phi_field = _field(phi(xg, yg) if callable(phi) else phi, "phi samples")
     if phi_field.shape != (nx, ny):
         raise ValueError(
             f"potential samples have shape {phi_field.shape}, expected {(nx, ny)}"
@@ -149,26 +148,20 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
     if isinstance(diffusion, str):
         if diffusion != "identity":
             raise ValueError(f"unknown diffusion tag {diffusion!r}")
-        d_field = np.broadcast_to(np.eye(2), (nx, ny, 2, 2)).copy()
+        diffusion = np.eye(2)
     elif callable(diffusion):
-        d_field = np.empty((nx, ny, 2, 2))
-        for i in range(nx):
-            for j in range(ny):
-                d_field[i, j] = np.asarray(diffusion(xs[i], ys[j]), dtype=float)
-    else:
-        d_arr = _samples(diffusion, "D")
-        if d_arr.shape == (2, 2):
-            d_field = np.broadcast_to(d_arr, (nx, ny, 2, 2)).copy()
-        elif d_arr.shape == (nx, ny, 2, 2):
-            d_field = d_arr.copy()
-        else:
-            raise ValueError(
-                f"problem invariant violated: D must be 2x2 or {(nx, ny, 2, 2)}, "
-                f"got shape {d_arr.shape}"
-            )
+        diffusion = [[diffusion(x, y) for y in ys] for x in xs]
+    d_field = _field(diffusion, "D")
+    if d_field.shape == (2, 2):
+        d_field = np.broadcast_to(d_field, (nx, ny, 2, 2)).copy()
+    elif d_field.shape != (nx, ny, 2, 2):
+        raise ValueError(
+            f"problem invariant violated: D must be 2x2 or {(nx, ny, 2, 2)}, "
+            f"got shape {d_field.shape}"
+        )
     _check_diffusion(d_field)
 
-    gamma_field = _samples(gamma(xg, yg) if callable(gamma) else gamma, "gamma")
+    gamma_field = _field(gamma(xg, yg) if callable(gamma) else gamma, "gamma")
     if gamma_field.ndim == 0:
         gamma_field = np.full((nx, ny), gamma_field)
     if gamma_field.shape != (nx, ny):
@@ -188,64 +181,34 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
     )
 
 
-def _samples(value, name: str) -> np.ndarray:
-    """``value`` as a float array; raises ``ValueError`` unless it is finite
-    real numbers.
-
-    numpy reads ``True`` as 1.0 and ``None`` as NaN, so both are refused
-    before the conversion, wherever they sit in a nested list.
-    """
-    got = f", got {reprlib.repr(value)}"
-    if _holds_flag(value):
-        raise ValueError(f"problem invariant violated: {name} must be numbers{got}")
-    try:
-        samples = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(
-            f"problem invariant violated: {name} must be numbers{got}"
-        ) from None
-    if not np.isfinite(samples).all():
-        raise ValueError(f"problem invariant violated: {name} must be finite{got}")
-    return samples
-
-
-def _holds_flag(value) -> bool:
-    """Whether ``value``, a number or a nested list or array of them, holds
-    a boolean or ``None``."""
-    if isinstance(value, np.ndarray):
-        return value.dtype == bool or (value.dtype == object
-                                       and _holds_flag(value.tolist()))
-    if isinstance(value, (list, tuple)):
-        return any(_holds_flag(v) for v in value)
-    return value is None or isinstance(value, (bool, np.bool_))
+def _field(values, name: str) -> np.ndarray:
+    """The sampled field ``values`` as a new float array; ``ValueError``
+    unless it is finite numbers."""
+    return _read_numbers(values, f"problem invariant violated: {name}", "numbers",
+                         ValueError, name)
 
 
 def _domain_bounds(domain) -> tuple[float, float, float, float]:
     """``xlo, xhi, ylo, yhi`` of a domain ``((xlo, xhi), (ylo, yhi))``.
 
-    Raises ``ValueError`` unless the bounds are finite real numbers and
-    each interval has a positive, finite width.
+    Raises ``ValueError`` unless the bounds are numbers and each interval
+    has a positive, finite width.
     """
     message = (f"domain invariant violated: the domain must be two finite "
                f"(lo, hi) pairs with lo < hi, got {domain!r}")
-    try:
-        (xlo, xhi), (ylo, yhi) = domain
-        bounds = (xlo, xhi, ylo, yhi)
-        if not all(isinstance(b, numbers.Real) and not isinstance(b, bool)
-                   for b in bounds):
-            raise TypeError
-        xlo, xhi, ylo, yhi = map(float, bounds)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(message) from None
+    bounds = _read_numbers(domain, "domain invariant violated: the domain",
+                           "two (lo, hi) pairs of numbers", ValueError)
+    if bounds.shape != (2, 2):
+        raise ValueError(message)
+    (xlo, xhi), (ylo, yhi) = bounds.tolist()
+    # a bound that is not finite leaves lo >= hi, or a width that is not
     if not (xlo < xhi and ylo < yhi
-            and np.isfinite([xlo, xhi, ylo, yhi, xhi - xlo, yhi - ylo]).all()):
+            and math.isfinite(xhi - xlo) and math.isfinite(yhi - ylo)):
         raise ValueError(message)
     return xlo, xhi, ylo, yhi
 
 
 def _check_diffusion(d: np.ndarray):
-    if not np.isfinite(d).all():
-        raise ValueError("problem invariant violated: D must be finite")
     # the checks read D scaled by the power of two that brings max|D| into
     # [0.5, 1): the scaling is exact, and det's products cannot overflow
     e = int(np.frexp(np.abs(d).max())[1])
@@ -488,7 +451,9 @@ def operator_symmetry_report(problem: FpeProblem,
 
     ``S_d`` in ``mismatch = ||S - S_d|| / ||L||`` (Frobenius norms) is the
     flow of the diffusion-only twin: ``problem`` at ``gamma = 0``, assembled
-    on the stencil geometry stored on ``problem``, with its own ``pi``.
+    on the stencil geometry stored on ``problem``, with its own ``pi``.  When
+    ``problem.gamma`` is all zero the twin is the operator ``d`` splits, bit
+    for bit, and ``S_d`` is ``d.F``.
     Norms and probe products are taken of matrices scaled by a power of
     two (:func:`_unit_scaled`), so no square overflows at any scale of ``D``.
     """
@@ -511,9 +476,12 @@ def operator_symmetry_report(problem: FpeProblem,
         pairs = (f @ m.T) @ g.T - sign * (f @ (g @ m.T).T)
         return float((np.abs(pairs) / fg).max()) / max(float(np.linalg.norm(data)), 1e-300)
 
-    # the diffusion-only twin, on this problem's stencil geometry
-    q_d, _ = _assemble(problem, np.zeros_like(problem.gamma))
-    s_d = _flow(q_d.q, stationary_solve(q_d).p)
+    # the diffusion-only twin, on this problem's stencil geometry; at
+    # gamma = 0 it is the level's own operator, whose flow d holds
+    s_d = d.F
+    if problem.gamma.any():
+        q_d, _ = _assemble(problem, np.zeros_like(problem.gamma))
+        s_d = _flow(q_d.q, stationary_solve(q_d).p)
     diff, e_diff = _unit_scaled(d.S - s_d)
     flow, e_flow = _unit_scaled(d.F)
     l_norm = max(float(np.linalg.norm(flow)), 1e-300)

@@ -17,16 +17,16 @@ A CSR operand is canonical (sorted column indices, no duplicates) and is
 built straight from its arrays: :func:`from_offdiagonal_rates` takes the
 continuum stencil's sorted rates and merges each row's diagonal into
 place, and every check reads ``.data``, ``.indices`` and ``.indptr``
-directly.  :func:`validate_generator` copies a CSR input whose values are
-writable, since the caller keeps it; a frozen one (read-only values, as
-:func:`from_offdiagonal_rates` hands over the array it has just built, or
-a generator's ``q``) is validated in place, and :class:`GeneratorMatrix`
-freezes a canonical CSR array without copying it again.  Validation
-derives each entry's row once.  The stationary solve takes a reversible
-chain's ``pi`` from rate ratios on its arrays, and otherwise splices its
-anchor row into them and hands SuperLU one CSC copy; the flow split
-computes ``F`` on ``q``'s pattern and its parts by one transpose and two
-sparse sums.
+directly.  :func:`validate_generator` copies a CSR input with a writable
+values or index array, since the caller keeps it; a frozen one (all three
+read-only, as :func:`from_offdiagonal_rates` hands over the array it has
+just built, or a generator's ``q``) is validated in place, and
+:class:`GeneratorMatrix` freezes a canonical CSR array without copying it
+again.  Validation derives each entry's row once.  The stationary solve
+takes a reversible chain's ``pi`` from rate ratios on its arrays, and
+otherwise splices its anchor row into them and hands SuperLU one CSC copy;
+the flow split computes ``F`` on ``q``'s pattern and its parts by one
+transpose and two sparse sums.
 
 ``scipy.sparse`` and its graph and solver modules are imported where a CSR
 array is built or read, and by the graph search a support with a missing
@@ -43,6 +43,7 @@ import operator
 import reprlib
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -76,16 +77,16 @@ class GeneratorMatrix:
     """Validated transition-rate matrix in column convention.
 
     ``q`` is a dense array or a CSR array.  Instances are immutable: the
-    array (a CSR array's values) is marked read-only after construction.
-    Because ``q`` cannot change, the stationary distribution and the flow
-    split are computed once per instance: :func:`stationary_solve`,
-    :func:`stationary_tree` and :func:`decompose` store their result on it
-    (``_pi``, ``_pi_tree``, ``_decomposition``) and return that same object
-    on every later call; a refusal is not stored.  An instance is safe to
-    share between threads; two threads that solve it at once both compute
-    and store identical values.  Build instances through
-    :func:`validate_generator` or :func:`from_offdiagonal_rates`; direct
-    construction skips validation.
+    array (a CSR array's values and index arrays) is marked read-only after
+    construction.  Because ``q`` cannot change, the stationary distribution
+    and the flow split are computed once per instance:
+    :func:`stationary_solve`, :func:`stationary_tree` and :func:`decompose`
+    store their result on it (``_pi``, ``_pi_tree``, ``_decomposition``) and
+    return that same object on every later call; a refusal is not stored.
+    An instance is safe to share between threads; two threads that solve
+    it at once both compute and store identical values.  Build instances
+    through :func:`validate_generator` or :func:`from_offdiagonal_rates`;
+    direct construction skips validation.
     """
 
     q: np.ndarray
@@ -134,13 +135,15 @@ def _issparse(m) -> bool:
 def _frozen(m):
     """``m`` as a float array, or a canonical CSR array, marked read-only.
 
-    A float array or a canonical float CSR array is frozen as it is; any
-    other sparse ``m`` is copied into a canonical CSR array first.
+    A float array or a canonical float CSR array is frozen as it is, a CSR
+    array's values and index arrays alike; any other sparse ``m`` is copied
+    into a canonical CSR array first.
     """
     if _issparse(m):
         if not _canonical_csr(m):
             m = _canonical_copy(m)
-        m.data.flags.writeable = False
+        for array in (m.data, m.indices, m.indptr):
+            array.flags.writeable = False
     else:
         m = np.asarray(m, dtype=float)
         m.flags.writeable = False
@@ -196,16 +199,35 @@ def _finite_scale(m, what: str, error=MarkovFlowError) -> float:
     return scale
 
 
-def _float_array(values, what: str, form: str = "a square array") -> np.ndarray:
-    """A new float array of ``values``; a ragged, string or non-numeric
-    input, or an integer beyond double range, raises ``ValueError`` saying
-    that ``what`` must be ``form`` of numbers."""
+def _read_numbers(values, what: str, form: str, error=MarkovFlowError,
+                  finite: str | None = None) -> np.ndarray:
+    """A new float array of ``values``, which must be numbers.
+
+    A number is a Python or numpy int or float, never a bool, ``None`` or a
+    string.  Anything else, or a ragged input or an integer beyond double
+    range, raises ``error`` saying that ``what`` must be ``form``.  A float
+    or integer array is converted without a scan, a bool or string array is
+    refused, and any other input is converted once and then the types of
+    its items are checked.  With ``finite`` set, an entry that is not finite
+    raises ``error`` naming ``finite`` (:func:`_finite_scale`).
+    """
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
     try:
-        return np.array(values, dtype=float)
+        if kind not in "fiuO":
+            raise TypeError
+        arr = np.array(values, dtype=float)
+        if kind == "O":
+            items = [values.tolist() if isinstance(values, np.ndarray) else values]
+            for _ in range(arr.ndim):
+                items = chain.from_iterable(items)
+            if not all(issubclass(t, (int, float, np.integer, np.floating))
+                       and t is not bool for t in set(map(type, items))):
+                raise TypeError
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(
-            f"{what} must be {form} of numbers, got {reprlib.repr(values)}"
-        ) from None
+        raise error(f"{what} must be {form}, got {reprlib.repr(values)}") from None
+    if finite is not None:
+        _finite_scale(arr, finite, error)
+    return arr
 
 
 def _check_positive(pi: np.ndarray):
@@ -220,14 +242,16 @@ def _check_positive(pi: np.ndarray):
 def probability_vector(values) -> ProbabilityVector:
     """Validate and normalize a probability vector.
 
-    A NaN or infinite entry, one below ``-PROBABILITY_ATOL`` or a mass off by
-    more than ``PROBABILITY_ATOL`` raises :class:`InvalidProbability`.
+    Entries must be numbers: ints or floats, numpy scalars included, never a
+    bool, ``None`` or a string.  Any other entry, a NaN or infinite one, one
+    below ``-PROBABILITY_ATOL`` or a mass off by more than
+    ``PROBABILITY_ATOL`` raises :class:`InvalidProbability`.
     Round-off negatives are clipped to zero and the vector renormalized.
     """
-    p = _float_array(values, "the probability vector", "an array").reshape(-1)
+    p = _read_numbers(values, "the probability vector", "an array of numbers",
+                      InvalidProbability, "the probability vector").reshape(-1)
     if p.size < 1:
         raise InvalidProbability("probability vector is empty")
-    _finite_scale(p, "the probability vector", InvalidProbability)
     if p.min() < -PROBABILITY_ATOL:
         i = int(np.argmin(p))
         raise InvalidProbability(
@@ -236,7 +260,7 @@ def probability_vector(values) -> ProbabilityVector:
     total = p.sum()
     if abs(total - 1.0) > PROBABILITY_ATOL:
         raise InvalidProbability(
-            f"normalization invariant violated: entries sum to {total!r}, not 1"
+            f"normalization invariant violated: entries sum to {float(total)!r}, not 1"
         )
     p = np.clip(p, 0.0, None)
     p /= p.sum()
@@ -367,27 +391,30 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
     Parameters
     ----------
     raw : array_like or CSR array, shape (n, n)
-        Candidate generator.  With ``convention="row"`` the input is
-        transposed before any check runs.  A CSR input gives a CSR
-        generator; it is copied unless it is a canonical float CSR array
-        with read-only values, which the generator then shares.
+        Candidate generator, of numbers: ints or floats, numpy scalars
+        included, never a bool, ``None`` or a string.  With
+        ``convention="row"`` the input is transposed before any check runs.
+        A CSR input gives a CSR generator; it is copied unless it is a
+        canonical float CSR array whose values and index arrays are all
+        read-only, which the generator then shares.
     convention : {"column", "row"}
 
     Raises
     ------
     MarkovFlowError, NegativeRate, ColumnSumViolation, Reducible
-        When an entry is not finite, or the corresponding invariant fails.
-        Reducibility is decided exactly by strong connectivity of the
-        positive-rate graph, so the accepted matrices always have a unique,
-        strictly positive stationary distribution.
+        When an entry is not a finite number, or the corresponding invariant
+        fails.  Reducibility is decided exactly by strong connectivity of
+        the positive-rate graph, so the accepted matrices always have a
+        unique, strictly positive stationary distribution.
     """
     sparse = _issparse(raw)
     if sparse:
-        # the caller keeps its array: one with writable values is copied
-        frozen = _canonical_csr(raw) and not raw.data.flags.writeable
+        # the caller keeps its array: one with a writable part is copied
+        frozen = _canonical_csr(raw) and not any(
+            a.flags.writeable for a in (raw.data, raw.indices, raw.indptr))
         q = raw if frozen else _canonical_copy(raw)
     else:
-        q = _float_array(raw, "the generator q")
+        q = _read_numbers(raw, "the generator q", "a square array of numbers")
     _check_square(q, "generator")
     if convention == "row":
         q = q.T.tocsr() if sparse else np.ascontiguousarray(q.T)
@@ -438,7 +465,7 @@ def from_offdiagonal_rates(rates) -> GeneratorMatrix:
         # the arrays are only read; a non-canonical input is summed on a copy
         r = rates if _canonical_csr(rates) else _canonical_copy(rates)
     else:
-        r = _float_array(rates, "the rates")
+        r = _read_numbers(rates, "the rates", "a square array of numbers")
     _check_square(r, "rate matrix")
     if sparse:
         _, (rows, cols, values) = _offdiagonal(r)
@@ -486,8 +513,7 @@ def _csr_generator(rows, cols, rates, n: int):
     q = csr_array((data, indices, indptr), shape=(n, n))
     q.has_canonical_format = True
     # frozen, so that validate_generator reads it in place
-    q.data.flags.writeable = False
-    return q
+    return _frozen(q)
 
 
 def generator_from_json(obj: dict) -> GeneratorMatrix:

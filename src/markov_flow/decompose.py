@@ -28,11 +28,11 @@ from .core import (
     ProbabilityVector,
     _check_positive,
     _finite_scale,
-    _float_array,
     _frozen,
     _issparse,
     _least_offdiagonal,
     _max_abs,
+    _read_numbers,
     _sums,
     as_dense,
     from_offdiagonal_rates,
@@ -182,8 +182,8 @@ def compose(pi, S, A) -> GeneratorMatrix:
     if not isinstance(pi, ProbabilityVector):
         pi = probability_vector(pi)
     _check_positive(pi.p)
-    S = _float_array(as_dense(S), "S")
-    A = _float_array(as_dense(A), "A")
+    S = _read_numbers(as_dense(S), "S", "a square array of numbers")
+    A = _read_numbers(as_dense(A), "A", "a square array of numbers")
     # the circulation may be round-off dust relative to the symmetric part
     # (2-state chains, reversible chains), so both checks share one scale
     flow_scale = max(_finite_scale(S, "S"), _finite_scale(A, "A"), 1e-300)
@@ -298,7 +298,7 @@ def cycle_decompose(A) -> CycleDecomposition:
     is reproducible.  A count above the circulation DOF ``(n-1)(n-2)/2``
     triggers :class:`CycleCountWarning`, not an error.
     """
-    A = np.asarray(as_dense(A), dtype=float)
+    A = _read_numbers(as_dense(A), "the circulation", "a square array of numbers")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"circulation must be square, got shape {A.shape}")
     n = A.shape[0]

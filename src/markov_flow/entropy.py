@@ -27,19 +27,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ProbabilityVector, _check_positive, _finite_scale, as_dense
+from .core import ProbabilityVector, _check_positive, _finite_scale, _read_numbers, as_dense
 from .decompose import FlowDecomposition
 from .errors import InvalidProbability, NotAntisymmetric, PositivityViolation
 
 PRODUCTION_SPLIT_RTOL = 1e-13
 
 
-def _as_prob_array(p) -> np.ndarray:
-    """``p`` as a float array, one distribution or a stack of them; a 0-d
-    ``p`` raises ``ValueError``."""
+def _as_prob_array(p, what: str = "p") -> np.ndarray:
+    """``p`` as a float array, one distribution or a stack of them; an entry
+    that is not a number raises :class:`InvalidProbability` and a 0-d ``p``
+    ``ValueError``."""
     if isinstance(p, ProbabilityVector):
         return p.p
-    arr = np.asarray(p, dtype=float)
+    arr = _read_numbers(p, what, "an array of numbers", InvalidProbability)
     if arr.ndim == 0:
         raise ValueError(
             f"size invariant violated: a distribution has an entry per state, "
@@ -50,7 +51,7 @@ def _as_prob_array(p) -> np.ndarray:
 
 def _with_reference(p, pi):
     """``p`` and ``pi`` as arrays, once ``pi`` fits ``p``'s rows and is > 0."""
-    arr, ref = _as_prob_array(p), _as_prob_array(pi)
+    arr, ref = _as_prob_array(p), _as_prob_array(pi, "the reference pi")
     if arr.shape[-1] != ref.size:
         raise ValueError(
             f"size invariant violated: p has {arr.shape[-1]} entries, the "

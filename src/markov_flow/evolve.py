@@ -43,7 +43,7 @@ from typing import Iterable
 import numpy as np
 from scipy.linalg import expm
 
-from .core import GeneratorMatrix, ProbabilityVector, _frozen, as_dense
+from .core import GeneratorMatrix, ProbabilityVector, _frozen, _read_numbers, as_dense
 from .decompose import FlowDecomposition
 from .entropy import (
     EntropyKind,
@@ -91,17 +91,12 @@ class Trajectory:
 
 
 def _checked_times(times) -> np.ndarray:
-    t = np.asarray(times, dtype=float).reshape(-1)
+    t = _read_numbers(times, "times", "an array of numbers", ValueError,
+                      "times").reshape(-1)
     if t.size < 1:
         raise ValueError("need at least one time point")
-    if not np.isfinite(t).all():
-        k = int(np.flatnonzero(~np.isfinite(t))[0])
-        raise ValueError(
-            f"finiteness invariant violated: times[{k}] = {float(t[k])!r} is not "
-            "finite"
-        )
     if t[0] < 0.0:
-        raise ValueError(f"times must start at >= 0, got {t[0]!r}")
+        raise ValueError(f"times must start at >= 0, got {float(t[0])!r}")
     if t.size > 1 and not (np.diff(t) > 0.0).all():
         raise ValueError("times must be strictly increasing")
     return t

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_positive, _frozen, as_dense
+from .core import _check_positive, _frozen, _read_numbers, as_dense
 from .decompose import FlowDecomposition
 from .entropy import gini_divergence
 from .errors import (
@@ -100,7 +100,7 @@ def symmetric_eigensolve(m):
     :class:`NoConvergence` when LAPACK fails to converge or returns
     non-finite eigenvalues.
     """
-    a = np.array(m, dtype=float)
+    a = _read_numbers(m, "the matrix", "a square array of numbers")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     asym = np.linalg.norm(a - a.T)
@@ -226,7 +226,7 @@ def verify_bound(traj: Trajectory, sb: SpectralBound) -> BoundReport:
             excess = np.where(violations, norm / contract, 0.0)
         worst = int(np.argmax(excess))
         raise BoundViolated(
-            f"decay bound violated at t = {t[worst]!r}: "
+            f"decay bound violated at t = {float(t[worst])!r}: "
             f"D = {norm[worst]:.6g} > D(p0) exp(-2 lambda2 t) = "
             f"{contract[worst]:.6g} (ratio {excess[worst]:.9g})"
         )

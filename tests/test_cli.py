@@ -248,8 +248,10 @@ P0_NOT_NUMBERS = "the probability vector must be an array of numbers"
     (["entropy", "--kind", "kl"], [0.5, 0.5, {}], P0_NOT_NUMBERS),
     (["evolve"], [0.5, [0.5, 0.0]], P0_NOT_NUMBERS),
     (["bound"], "abc", P0_NOT_NUMBERS),
+    (["entropy", "--kind", "kl"], [True, 0, 0], P0_NOT_NUMBERS),
+    (["evolve"], ["0.5", "0.5", "0"], P0_NOT_NUMBERS),
 ], ids=["command0", "command1", "command2", "command3", "command4",
-        "kl-object", "evolve-ragged", "bound-string"])
+        "kl-object", "evolve-ragged", "bound-string", "kl-bool", "evolve-strings"])
 def test_non_finite_p0_exits_2(command, p0, refusal, q3_path, tmp_path, capsys):
     path = tmp_path / "p0.json"
     write_json(path, p0)
@@ -269,8 +271,12 @@ def test_non_finite_p0_exits_2(command, p0, refusal, q3_path, tmp_path, capsys):
     ({"n": [2], "rates": [[0, 1], [1, 0]]}, "declared n must be an integer, got [2]"),
     ({"n": None, "rates": [[0, 1], [1, 0]]}, "declared n must be an integer, got None"),
     ({"n": 2.9, "rates": [[0, 1], [1, 0]]}, "declared n must be an integer, got 2.9"),
+    ({"rates": [[0, True], [True, 0]]}, "the rates must be a square array of numbers"),
+    ({"q": [["-1", "1"], ["1", "-1"]]}, "the generator q must be a square array of numbers"),
+    ({"rates": [[0.5, True], [True, 0]]}, "the rates must be a square array of numbers"),
 ], ids=["q-nan", "q-inf", "rates-inf", "q-object", "q-ragged", "q-string",
-        "rates-object", "rates-ragged", "n-list", "n-null", "n-float"])
+        "rates-object", "rates-ragged", "n-list", "n-null", "n-float",
+        "rates-bool", "q-numeric-strings", "rates-mixed-bool"])
 @pytest.mark.parametrize("command", ["stationary", "decompose"])
 def test_non_finite_generator_exits_2(command, generator, refusal, tmp_path, capsys):
     path = tmp_path / "q.json"
@@ -560,6 +566,10 @@ PHI_NOT_A_TAG = 'problem invariant violated: phi must be a catalog tag or "custo
     ({"phi": [[0.0] * 4] * 4}, PHI_NOT_A_TAG),
     ({"phi": 5}, PHI_NOT_A_TAG),
     ({"phi": [1, 2]}, PHI_NOT_A_TAG),
+    ({"gamma": "0.5"}, "problem invariant violated: gamma must be numbers"),
+    ({"D": [["1", "0"], ["0", "1"]]}, "problem invariant violated: D must be numbers"),
+    ({"phi": "custom_samples", "phi_samples": [[0.0] * 4] * 3 + [[0.0, 0.0, 0.0, "1"]]},
+     "problem invariant violated: phi samples must be numbers"),
 ])
 def test_malformed_problem_exits_2(problem, invariant, tmp_path, capsys):
     path = tmp_path / "fpe.json"
@@ -574,14 +584,14 @@ def test_malformed_problem_exits_2(problem, invariant, tmp_path, capsys):
     ({"gamma": True}, "problem invariant violated: gamma must be numbers"),
     ({"gamma": [[0.5] * 3 + [False]] * 4},
      "problem invariant violated: gamma must be numbers"),
-    ({"gamma": float("inf")}, "problem invariant violated: gamma must be finite"),
+    ({"gamma": float("inf")}, "finiteness invariant violated: gamma has an entry"),
     ({"gamma": [[0.5] * 3 + [float("nan")]] * 4},
-     "problem invariant violated: gamma must be finite"),
+     "finiteness invariant violated: gamma has an entry"),
     ({"gamma": [1, 2]},
      "problem invariant violated: gamma must be a scalar or (4, 4), got shape (2,)"),
     ({"D": None}, "problem invariant violated: D must be numbers"),
     ({"D": [[1, 0], [0, True]]}, "problem invariant violated: D must be numbers"),
-    ({"D": [[1, 0], [0, float("-inf")]]}, "problem invariant violated: D must be finite"),
+    ({"D": [[1, 0], [0, float("-inf")]]}, "finiteness invariant violated: D has an entry"),
     ({"D": [1, 0, 0, 1]}, "problem invariant violated: D must be 2x2"),
 ], ids=["gamma-null", "gamma-true", "gamma-false-sample", "gamma-inf", "gamma-nan-sample",
         "gamma-shape", "D-null", "D-true", "D-inf", "D-shape"])

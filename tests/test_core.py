@@ -398,6 +398,40 @@ def test_built_csr_generator_is_validated_without_a_copy(monkeypatch):
     assert copies.call_count == 0
 
 
+def test_csr_generator_index_arrays_are_read_only():
+    gen = from_offdiagonal_rates(csr_array([[0, 1, 2], [1, 0, 1], [3, 1, 0]]))
+    indices = gen.q.indices
+    # swapping two column indices would silently move two rates
+    with pytest.raises(ValueError, match="read-only"):
+        indices[0], indices[1] = indices[1], indices[0]
+    with pytest.raises(ValueError, match="read-only"):
+        gen.q.indptr[1] = 0
+
+
+def test_csr_input_with_a_writable_index_array_is_copied():
+    raw = csr_array(from_offdiagonal_rates(AWKWARD_RATES).q)
+    raw.data.flags.writeable = False
+    q = validate_generator(raw).q
+    assert not np.shares_memory(q.indices, raw.indices)
+    assert raw.indices.flags.writeable     # the caller's arrays are left as they were
+    # once all three are read-only the generator shares them
+    raw.indices.flags.writeable = raw.indptr.flags.writeable = False
+    assert validate_generator(raw).q is raw
+
+
+def test_numpy_scalars_read_as_the_numbers_they_hold():
+    rates = [[0, 2, 0.5], [1, 0, 3], [2.25, 1, 0]]
+    as_numpy = [[np.int64(v) if isinstance(v, int) else np.float64(v) for v in row]
+                for row in rates]
+    assert (from_offdiagonal_rates(as_numpy).q.tobytes()
+            == from_offdiagonal_rates(rates).q.tobytes())
+    q = from_offdiagonal_rates(rates).q.tolist()
+    assert (validate_generator([[np.float64(v) for v in row] for row in q]).q.tobytes()
+            == validate_generator(q).q.tobytes())
+    assert (probability_vector([np.float64(0.25), np.int64(0), np.float64(0.75)]).p.tobytes()
+            == probability_vector([0.25, 0, 0.75]).p.tobytes())
+
+
 @pytest.mark.parametrize("link", [0.0, -1e-15], ids=["explicit-zero", "tiny-negative"])
 def test_csr_link_that_is_not_a_rate_leaves_the_chain_reducible(link):
     # classes {0, 1} and {2, 3}: the rate 0 -> 2 is positive, and the

@@ -151,6 +151,9 @@ def test_compose_validates_parts():
         compose(d.pi, bad_s, d.A)
     with pytest.raises(NotAntisymmetric):
         compose(d.pi, d.S, d.S)
+    # read as 1.0, this S would give a valid two-state chain
+    with pytest.raises(MarkovFlowError, match="S must be a square array of numbers"):
+        compose([0.5, 0.5], [[-1.0, True], [True, -1.0]], [[0.0, 0.0], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize("part", ["S", "A"])

@@ -317,6 +317,9 @@ def test_times_validation():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finiteness invariant violated"):
             evolve(gen, p0, [0.0, bad])
+    for not_numbers in ([0.0, True], ["0", "1"]):
+        with pytest.raises(ValueError, match="times must be an array of numbers"):
+            evolve(gen, p0, not_numbers)
 
 
 def test_evolve_rejects_size_mismatch():

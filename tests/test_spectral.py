@@ -19,6 +19,7 @@ from markov_flow import (
 from markov_flow.errors import (
     BoundViolated,
     DisconnectedWarning,
+    MarkovFlowError,
     NoConvergence,
     NotSymmetric,
     RowSumViolation,
@@ -250,6 +251,24 @@ def test_verify_bound_catches_mismatched_chain():
     traj_slow = evolve(slow, probability_vector([1.0, 0.0, 0.0]), t)
     with pytest.raises(BoundViolated):
         verify_bound(traj_slow, spectral_bound(d_fast))
+
+
+def _slow_chain_against_fast_bound():
+    fast = three_cycle()
+    slow = validate_generator(0.05 * fast.q)
+    traj = evolve(slow, probability_vector([1.0, 0.0, 0.0]), np.linspace(0.0, 5.0, 30))
+    verify_bound(traj, spectral_bound(decompose(fast)))
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: probability_vector([0.5, 0.6]),
+    lambda: evolve(two_state(), probability_vector([1.0, 0.0]), [-1.0, 2.0]),
+    _slow_chain_against_fast_bound,
+], ids=["mass", "negative-time", "decay-bound"])
+def test_refusals_print_python_floats(refused):
+    with pytest.raises((MarkovFlowError, ValueError)) as refusal:
+        refused()
+    assert "np." not in str(refusal.value), str(refusal.value)
 
 
 def test_verify_bound_asserts_the_sharp_rate():
