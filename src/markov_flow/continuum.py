@@ -184,8 +184,7 @@ def fpe_problem(domain, nx: int, ny: int, phi, diffusion="identity",
 def _field(values, name: str) -> np.ndarray:
     """The sampled field ``values`` as a new float array; ``ValueError``
     unless it is finite numbers."""
-    return _read_numbers(values, f"problem invariant violated: {name}", "numbers",
-                         ValueError, name)
+    return _read_numbers(values, f"problem invariant violated: {name}", "numbers", name)
 
 
 def _domain_bounds(domain) -> tuple[float, float, float, float]:
@@ -197,7 +196,7 @@ def _domain_bounds(domain) -> tuple[float, float, float, float]:
     message = (f"domain invariant violated: the domain must be two finite "
                f"(lo, hi) pairs with lo < hi, got {domain!r}")
     bounds = _read_numbers(domain, "domain invariant violated: the domain",
-                           "two (lo, hi) pairs of numbers", ValueError)
+                           "two (lo, hi) pairs of numbers")
     if bounds.shape != (2, 2):
         raise ValueError(message)
     (xlo, xhi), (ylo, yhi) = bounds.tolist()
@@ -451,9 +450,7 @@ def operator_symmetry_report(problem: FpeProblem,
 
     ``S_d`` in ``mismatch = ||S - S_d|| / ||L||`` (Frobenius norms) is the
     flow of the diffusion-only twin: ``problem`` at ``gamma = 0``, assembled
-    on the stencil geometry stored on ``problem``, with its own ``pi``.  When
-    ``problem.gamma`` is all zero the twin is the operator ``d`` splits, bit
-    for bit, and ``S_d`` is ``d.F``.
+    on the stencil geometry stored on ``problem``, with its own ``pi``.
     Norms and probe products are taken of matrices scaled by a power of
     two (:func:`_unit_scaled`), so no square overflows at any scale of ``D``.
     """
@@ -476,12 +473,9 @@ def operator_symmetry_report(problem: FpeProblem,
         pairs = (f @ m.T) @ g.T - sign * (f @ (g @ m.T).T)
         return float((np.abs(pairs) / fg).max()) / max(float(np.linalg.norm(data)), 1e-300)
 
-    # the diffusion-only twin, on this problem's stencil geometry; at
-    # gamma = 0 it is the level's own operator, whose flow d holds
-    s_d = d.F
-    if problem.gamma.any():
-        q_d, _ = _assemble(problem, np.zeros_like(problem.gamma))
-        s_d = _flow(q_d.q, stationary_solve(q_d).p)
+    # the diffusion-only twin, on this problem's stencil geometry
+    q_d, _ = _assemble(problem, np.zeros_like(problem.gamma))
+    s_d = _flow(q_d.q, stationary_solve(q_d).p)
     diff, e_diff = _unit_scaled(d.S - s_d)
     flow, e_flow = _unit_scaled(d.F)
     l_norm = max(float(np.linalg.norm(flow)), 1e-300)

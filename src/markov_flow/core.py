@@ -43,7 +43,6 @@ import operator
 import reprlib
 import sys
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -199,34 +198,32 @@ def _finite_scale(m, what: str, error=MarkovFlowError) -> float:
     return scale
 
 
-def _read_numbers(values, what: str, form: str, error=MarkovFlowError,
-                  finite: str | None = None) -> np.ndarray:
+def _read_numbers(values, what: str, form: str, finite: str | None = None) -> np.ndarray:
     """A new float array of ``values``, which must be numbers.
 
     A number is a Python or numpy int or float, never a bool, ``None`` or a
     string.  Anything else, or a ragged input or an integer beyond double
-    range, raises ``error`` saying that ``what`` must be ``form``.  A float
-    or integer array is converted without a scan, a bool or string array is
-    refused, and any other input is converted once and then the types of
-    its items are checked.  With ``finite`` set, an entry that is not finite
-    raises ``error`` naming ``finite`` (:func:`_finite_scale`).
+    range, raises ``ValueError`` saying that ``what`` must be ``form``.  A
+    float or integer array is converted without a scan, a bool or string
+    array is refused, and any other input is read once as an object array,
+    whose item types are checked and which is then converted.  With
+    ``finite`` set, an entry that is not finite raises ``ValueError`` naming
+    ``finite`` (:func:`_finite_scale`).
     """
     kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
     try:
         if kind not in "fiuO":
             raise TypeError
-        arr = np.array(values, dtype=float)
-        if kind == "O":
-            items = [values.tolist() if isinstance(values, np.ndarray) else values]
-            for _ in range(arr.ndim):
-                items = chain.from_iterable(items)
-            if not all(issubclass(t, (int, float, np.integer, np.floating))
-                       and t is not bool for t in set(map(type, items))):
-                raise TypeError
+        items = np.array(values, dtype=object) if kind == "O" else values
+        arr = np.array(items, dtype=float)
+        if kind == "O" and not all(
+                issubclass(t, (int, float, np.integer, np.floating)) and t is not bool
+                for t in set(map(type, items.flat))):
+            raise TypeError
     except (TypeError, ValueError, OverflowError):
-        raise error(f"{what} must be {form}, got {reprlib.repr(values)}") from None
+        raise ValueError(f"{what} must be {form}, got {reprlib.repr(values)}") from None
     if finite is not None:
-        _finite_scale(arr, finite, error)
+        _finite_scale(arr, finite, ValueError)
     return arr
 
 
@@ -243,15 +240,16 @@ def probability_vector(values) -> ProbabilityVector:
     """Validate and normalize a probability vector.
 
     Entries must be numbers: ints or floats, numpy scalars included, never a
-    bool, ``None`` or a string.  Any other entry, a NaN or infinite one, one
-    below ``-PROBABILITY_ATOL`` or a mass off by more than
-    ``PROBABILITY_ATOL`` raises :class:`InvalidProbability`.
+    bool, ``None`` or a string; any other entry, or a ragged input, raises
+    ``ValueError``.  A NaN or infinite entry, one below ``-PROBABILITY_ATOL``
+    or a mass off by more than ``PROBABILITY_ATOL`` raises
+    :class:`InvalidProbability`.
     Round-off negatives are clipped to zero and the vector renormalized.
     """
-    p = _read_numbers(values, "the probability vector", "an array of numbers",
-                      InvalidProbability, "the probability vector").reshape(-1)
+    p = _read_numbers(values, "the probability vector", "an array of numbers").reshape(-1)
     if p.size < 1:
         raise InvalidProbability("probability vector is empty")
+    _finite_scale(p, "the probability vector", InvalidProbability)
     if p.min() < -PROBABILITY_ATOL:
         i = int(np.argmin(p))
         raise InvalidProbability(
@@ -401,9 +399,12 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
 
     Raises
     ------
+    ValueError
+        When ``raw`` is ragged, holds an entry that is not a number, or is
+        not square with at least 2 rows.
     MarkovFlowError, NegativeRate, ColumnSumViolation, Reducible
-        When an entry is not a finite number, or the corresponding invariant
-        fails.  Reducibility is decided exactly by strong connectivity of
+        When an entry is not finite, or the corresponding invariant fails.
+        Reducibility is decided exactly by strong connectivity of
         the positive-rate graph, so the accepted matrices always have a
         unique, strictly positive stationary distribution.
     """
@@ -457,8 +458,8 @@ def from_offdiagonal_rates(rates) -> GeneratorMatrix:
     below zero are dropped and each row's diagonal entry is merged into
     place.  Each column sum adds the column's rates in ascending row order,
     as numpy's dense column sum does, so a CSR and a dense copy of the same
-    rates give the same generator bit for bit.  A NaN or infinite rate
-    raises :class:`MarkovFlowError`.
+    rates give the same generator bit for bit.  A rate that is not a number
+    raises ``ValueError``, a NaN or infinite one :class:`MarkovFlowError`.
     """
     sparse = _issparse(rates)
     if sparse:

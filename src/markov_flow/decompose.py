@@ -178,6 +178,9 @@ def compose(pi, S, A) -> GeneratorMatrix:
         Antisymmetric with a zero diagonal, zero row sums, and ``F`` must
         have nonnegative off-diagonals: a too-strong circulation is refused
         rather than projected back, because any repair would change ``pi``.
+
+    An entry of ``S`` or ``A`` that is not a number raises ``ValueError``,
+    as does a shape that does not match ``pi``.
     """
     if not isinstance(pi, ProbabilityVector):
         pi = probability_vector(pi)

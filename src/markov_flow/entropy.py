@@ -36,11 +36,10 @@ PRODUCTION_SPLIT_RTOL = 1e-13
 
 def _as_prob_array(p, what: str = "p") -> np.ndarray:
     """``p`` as a float array, one distribution or a stack of them; an entry
-    that is not a number raises :class:`InvalidProbability` and a 0-d ``p``
-    ``ValueError``."""
+    that is not a number or a 0-d ``p`` raises ``ValueError``."""
     if isinstance(p, ProbabilityVector):
         return p.p
-    arr = _read_numbers(p, what, "an array of numbers", InvalidProbability)
+    arr = _read_numbers(p, what, "an array of numbers")
     if arr.ndim == 0:
         raise ValueError(
             f"size invariant violated: a distribution has an entry per state, "

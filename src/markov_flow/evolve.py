@@ -91,8 +91,7 @@ class Trajectory:
 
 
 def _checked_times(times) -> np.ndarray:
-    t = _read_numbers(times, "times", "an array of numbers", ValueError,
-                      "times").reshape(-1)
+    t = _read_numbers(times, "times", "an array of numbers", "times").reshape(-1)
     if t.size < 1:
         raise ValueError("need at least one time point")
     if t[0] < 0.0:

@@ -96,6 +96,7 @@ def symmetric_eigensolve(m):
     eigenvector columns ``u`` such that ``m = u @ diag(w) @ u.T``.  The
     sign of each eigenvector is fixed by making its largest-magnitude
     component positive, so results are deterministic.  Raises
+    ``ValueError`` unless ``m`` is a square array of numbers,
     :class:`NotSymmetric` for an asymmetric input and
     :class:`NoConvergence` when LAPACK fails to converge or returns
     non-finite eigenvalues.

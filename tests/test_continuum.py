@@ -400,32 +400,6 @@ def test_twisted_study_factors_once_per_level(monkeypatch):
             == {k: v for k, v in ref.items() if k != "mismatch"}
 
 
-class _ReportsNonzero(np.ndarray):
-    """A gamma field that claims a nonzero entry, so the report builds the
-    diffusion-only twin even at gamma = 0."""
-
-    def any(self, *args, **kwargs):
-        return True
-
-
-def test_gamma_free_study_takes_the_twin_from_the_split(monkeypatch):
-    # at gamma = 0 the twin is each level's own operator: one solve a level
-    solves = [count_calls(monkeypatch, f"markov_flow.{module}", "stationary_solve")
-              for module in ("decompose", "continuum")]
-    levels = refinement_study(DOMAIN, (16, 32), "quadratic")
-    assert sum(s.call_count for s in solves) == 2
-
-    def twin_forced(*args):
-        problem = fpe_problem(*args)
-        object.__setattr__(problem, "gamma", problem.gamma.view(_ReportsNonzero))
-        return problem
-
-    monkeypatch.setattr("markov_flow.continuum.fpe_problem", twin_forced)
-    reference = refinement_study(DOMAIN, (16, 32), "quadratic")
-    assert sum(s.call_count for s in solves) == 2 + 4
-    assert levels == reference
-
-
 @pytest.mark.parametrize("problem", [
     lambda: fpe_problem(DOMAIN, 12, 12, "quadratic", "identity", 0.5),
     lambda: fpe_problem(DOMAIN, 12, 10, "quadratic", "identity",

@@ -8,15 +8,19 @@ from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_array
 
 from markov_flow import (
+    compose,
+    cycle_decompose,
     decompose,
     evolve,
     fpe_problem,
     from_offdiagonal_rates,
     generator_from_json,
     generator_to_json,
+    kl_divergence,
     probability_from_json,
     probability_vector,
     spectral_bound,
+    symmetric_eigensolve,
     validate_generator,
     verify_bound,
 )
@@ -430,6 +434,42 @@ def test_numpy_scalars_read_as_the_numbers_they_hold():
             == validate_generator(q).q.tobytes())
     assert (probability_vector([np.float64(0.25), np.int64(0), np.float64(0.75)]).p.tobytes()
             == probability_vector([0.25, 0, 0.75]).p.tobytes())
+    # an array-like is read through its array, whatever iterating it yields
+    assert (from_offdiagonal_rates(_Labelled(rates)).q.tobytes()
+            == from_offdiagonal_rates(rates).q.tobytes())
+
+
+class _Labelled:
+    """An array-like that iterates its column labels, as a data frame does."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype)
+
+    def __iter__(self):
+        return iter("abc")
+
+
+@pytest.mark.parametrize("read", [
+    lambda: validate_generator([[-1.0, True], [1.0, -1.0]]),
+    lambda: from_offdiagonal_rates([[0, "1"], [1, 0]]),
+    lambda: probability_vector([True, 0]),
+    lambda: compose([0.5, 0.5], [[-1.0, 1.0], [1.0, None]], np.zeros((2, 2))),
+    lambda: cycle_decompose([[0, True], [-1, 0]]),
+    lambda: symmetric_eigensolve(np.array([[1.0, 0.0], [0.0, 1.0]]).astype(bool)),
+    lambda: kl_divergence([0.5, np.bool_(True)], [0.5, 0.5]),
+    lambda: evolve(validate_generator([[-1.0, 1.0], [1.0, -1.0]]),
+                   probability_vector([1.0, 0.0]), ["0", "1"]),
+    lambda: fpe_problem(((-1, 1), (-1, 1)), 4, 4, "quadratic", gamma="0.5"),
+], ids=["generator", "rates", "p", "compose", "cycles", "eigensolve", "kl", "times",
+        "continuum"])
+def test_an_entry_that_is_not_a_number_raises_value_error(read):
+    # the class the float conversion raised before any type check existed
+    with pytest.raises(ValueError, match="must be") as refusal:
+        read()
+    assert type(refusal.value) is ValueError
 
 
 @pytest.mark.parametrize("link", [0.0, -1e-15], ids=["explicit-zero", "tiny-negative"])

@@ -152,7 +152,7 @@ def test_compose_validates_parts():
     with pytest.raises(NotAntisymmetric):
         compose(d.pi, d.S, d.S)
     # read as 1.0, this S would give a valid two-state chain
-    with pytest.raises(MarkovFlowError, match="S must be a square array of numbers"):
+    with pytest.raises(ValueError, match="S must be a square array of numbers"):
         compose([0.5, 0.5], [[-1.0, True], [True, -1.0]], [[0.0, 0.0], [0.0, 0.0]])
 
 

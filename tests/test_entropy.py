@@ -143,7 +143,7 @@ def test_gini_chi_square_identity():
 def test_kl_divergence_basics():
     np.testing.assert_allclose(kl_divergence([1.0, 0.0], [0.5, 0.5]), np.log(2), atol=1e-14)
     assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
-    with pytest.raises(InvalidProbability, match="p must be an array of numbers"):
+    with pytest.raises(ValueError, match="p must be an array of numbers"):
         kl_divergence([0.5, True], [0.5, 0.5])
 
 
