@@ -28,7 +28,7 @@ from .core import (
 )
 from .continuum import refinement_study
 from .decompose import compose, cycle_decompose, decompose, dual
-from .entropy import RELATIVE_GINI, RELATIVE_SHANNON, SHANNON, gini_divergence, kl_divergence, shannon_entropy
+from .entropy import _KINDS, RELATIVE_GINI, RELATIVE_SHANNON, SHANNON
 from .errors import MarkovFlowError
 from .evolve import default_time_grid, entropy_trace, evolve
 from .spectral import spectral_bound, verify_bound
@@ -203,14 +203,8 @@ def _cmd_entropy(args) -> int:
             f"size invariant violated: p0 has {p0.n} entries, the generator "
             f"has {gen.n} states"
         )
-    if args.kind == "shannon":
-        value = shannon_entropy(p0)
-    else:
-        pi = stationary_solve(gen)
-        if args.kind == "kl":
-            value = kl_divergence(p0, pi)
-        else:
-            value = gini_divergence(p0, pi)
+    kind = TRACE_TOKENS[args.kind]
+    value = _KINDS[kind.tag][1](p0, stationary_solve(gen), kind.f)
     _emit_text(json.dumps(value) + "\n", args.output)
     return 0
 

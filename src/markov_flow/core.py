@@ -8,19 +8,19 @@ input is accepted at the boundary and transposed once, so no other module
 ever has to think about orientation.
 
 A generator is a dense array or, on the continuum path, a CSR array
-(``scipy.sparse.csr_array``).  Validation, the stationary solve and the
-flow split run on either; every other consumer takes its operands through
-:func:`as_dense`, which densifies a CSR operand of at most
+(``scipy.sparse.csr_array``).  Validation, the stationary solve, the flow
+split and the entropies run on either; every other consumer takes its
+operands through :func:`as_dense`, which densifies a CSR operand of at most
 ``DENSE_MAX_STATES`` states and refuses a larger one.
 
-A CSR operand is canonical (sorted column indices, no duplicates) and is
-built straight from its arrays: :func:`from_offdiagonal_rates` takes the
-continuum stencil's sorted rates and merges each row's diagonal into
-place, and every check reads ``.data``, ``.indices`` and ``.indptr``
-directly.  :func:`validate_generator` copies a CSR input with a writable
-values or index array, since the caller keeps it; a frozen one (all three
-read-only, as :func:`from_offdiagonal_rates` hands over the array it has
-just built, or a generator's ``q``) is validated in place, and
+A CSR operand is canonical (sorted column indices, no duplicates).
+:func:`from_offdiagonal_rates` hands the continuum stencil's rates and the
+diagonal to scipy as ``(value, row, column)`` triples, and every check
+reads ``.data``, ``.indices`` and ``.indptr`` directly.
+:func:`validate_generator` copies a CSR input with a writable values or
+index array, since the caller keeps it; a frozen one (all three read-only,
+as :func:`from_offdiagonal_rates` hands over the array it has just built,
+or a generator's ``q``) is validated in place, and
 :class:`GeneratorMatrix` freezes a canonical CSR array without copying it
 again.  Validation derives each entry's row once.  The stationary solve
 takes a reversible chain's ``pi`` from rate ratios on its arrays, and
@@ -28,6 +28,8 @@ otherwise splices its anchor row into them and hands SuperLU one CSC copy;
 the flow split computes ``F`` on ``q``'s pattern and its parts by one
 transpose and two sparse sums.
 
+Irreducibility is decided by one labelling of the support's strong
+components, which also names the classes of a refused generator.
 ``scipy.sparse`` and its graph and solver modules are imported where a CSR
 array is built or read, and by the graph search a support with a missing
 edge needs: a run that meets only dense generators with every off-diagonal
@@ -265,39 +267,22 @@ def probability_vector(values) -> ProbabilityVector:
     return ProbabilityVector(p)
 
 
-def _support_classes(adjacency):
-    """Communicating classes of the directed support graph, plus the closed
-    ones.  ``adjacency`` is dense or sparse, with an entry at ``[u, v]`` iff
-    the rate u->v is positive; a class is closed when no edge leaves it."""
-    from scipy.sparse.csgraph import connected_components
-
-    n_comp, labels = connected_components(
-        adjacency, directed=True, connection="strong"
-    )
-    classes = [sorted(np.flatnonzero(labels == c).tolist()) for c in range(n_comp)]
-    if n_comp == 1:
-        return classes, []
-    src, dst = adjacency.nonzero()
-    leaving = set(labels[src[labels[src] != labels[dst]]].tolist())
-    closed = [members for c, members in enumerate(classes) if c not in leaving]
-    return classes, closed
-
-
-def _strongly_connected(q, off=None) -> bool:
-    """Whether the positive entries of a dense or CSR ``q`` form a strongly
-    connected graph.
+def _reducible_classes(q, off=None):
+    """None when the positive entries of a dense or CSR ``q`` form a strongly
+    connected graph, else ``(classes, closed)``: the communicating classes
+    and the closed ones, sorted by their least state.
 
     A support with every off-diagonal rate positive is the complete graph,
-    so it is connected without a graph search: only a support with a
-    missing edge goes to csgraph.  A CSR ``q`` whose stored off-diagonal
-    entries are all positive is handed over as it is, since csgraph reads
-    only its pattern and a stored diagonal entry is a self-loop, which
-    joins no two states; ``off`` marks those off-diagonal entries when the
-    caller has the mask.  Any other support is handed over as a CSR array
-    built from it directly, which skips the masked-array pass csgraph makes
-    over a dense input.  Its edge ``i -> j`` is the rate ``j -> i``:
-    reversing every edge keeps the strong components, so no transpose is
-    needed.
+    so it is connected without a graph search; any other support is labelled
+    by one csgraph call.  A CSR ``q`` whose stored off-diagonal entries are
+    all positive is handed over as it is, since csgraph reads only its
+    pattern and a stored diagonal entry is a self-loop, which joins no two
+    states; ``off`` marks those off-diagonal entries when the caller has the
+    mask.  Any other support is handed over as a CSR array built from it
+    directly, which skips the masked-array pass csgraph makes over a dense
+    input.  Its edge ``i -> j`` is the rate ``j -> i``: reversing every edge
+    keeps the strong components, so no transpose is needed, and a class is
+    closed (no rate leaves it) when no edge from another class enters it.
     """
     n = q.shape[0]
     sparse = _issparse(q)
@@ -306,7 +291,7 @@ def _strongly_connected(q, off=None) -> bool:
     # a diagonal entry positive within the column-sum tolerance is no edge
     if (count >= n * (n - 1)
             and count - np.count_nonzero(q.diagonal() > 0.0) == n * (n - 1)):
-        return True
+        return None
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
@@ -325,9 +310,15 @@ def _strongly_connected(q, off=None) -> bool:
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         support = csr_array((np.ones(rows.size), cols.astype(np.int32), indptr),
                             shape=(n, n))
-    return connected_components(
-        support, directed=True, connection="strong", return_labels=False
-    ) == 1
+    n_comp, labels = connected_components(support, directed=True, connection="strong")
+    if n_comp == 1:
+        return None
+    classes = {}
+    for state, label in enumerate(labels.tolist()):
+        classes.setdefault(label, []).append(state)
+    src, dst = labels[_entry_rows(support)], labels[support.indices]
+    entered = set(dst[src != dst].tolist())
+    return list(classes.values()), [c for k, c in classes.items() if k not in entered]
 
 
 def _entry_rows(m) -> np.ndarray:
@@ -438,8 +429,8 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
             f"column-sum invariant violated: column {worst} sums to "
             f"{col_sums[worst]:.6g} (tolerance {COLUMN_SUM_RTOL * scale:.3g})"
         )
-    if not _strongly_connected(q, off):
-        classes, closed = _support_classes(q.T > 0.0)
+    if (reducible := _reducible_classes(q, off)) is not None:
+        classes, closed = reducible
         raise Reducible(
             "irreducibility invariant violated: "
             f"{len(classes)} communicating classes {classes}; "
@@ -454,11 +445,11 @@ def from_offdiagonal_rates(rates) -> GeneratorMatrix:
 
     The diagonal is overwritten with minus the column sums, so the result
     conserves probability exactly, then the full validation runs.  CSR
-    ``rates`` give a CSR generator, built from their arrays: rates at or
-    below zero are dropped and each row's diagonal entry is merged into
-    place.  Each column sum adds the column's rates in ascending row order,
-    as numpy's dense column sum does, so a CSR and a dense copy of the same
-    rates give the same generator bit for bit.  A rate that is not a number
+    ``rates`` give a CSR generator, built by scipy from triples: rates at
+    or below zero are dropped and the diagonal entries added.  Each column
+    sum adds the column's rates in ascending row order, as numpy's dense
+    column sum does, so a CSR and a dense copy of the same rates give the
+    same generator bit for bit.  A rate that is not a number
     raises ``ValueError``, a NaN or infinite one :class:`MarkovFlowError`.
     """
     sparse = _issparse(rates)
@@ -489,30 +480,18 @@ def from_offdiagonal_rates(rates) -> GeneratorMatrix:
 
 def _csr_generator(rows, cols, rates, n: int):
     """The CSR generator of off-diagonal ``rates`` at ``(rows, cols)``, given
-    in canonical CSR order, with each row's diagonal entry merged into place.
+    in canonical CSR order, with the diagonal entries added by scipy.
 
     The diagonal is minus the column sums: ``bincount`` adds each column's
     rates in storage order, which is ascending row order.
     """
     from scipy.sparse import csr_array
 
-    diagonal = -np.bincount(cols, weights=rates, minlength=n)
-    size = rates.size + n
-    # an off-diagonal entry moves right by one slot per earlier row's
-    # diagonal entry, and by one more when it lies right of its own
-    slot = np.arange(rates.size) + rows + (cols > rows)
-    on_diagonal = np.ones(size, dtype=bool)
-    on_diagonal[slot] = False
-    data = np.empty(size)
-    data[slot] = rates
-    data[on_diagonal] = diagonal
-    indices = np.empty(size, dtype=cols.dtype)
-    indices[slot] = cols
-    indices[on_diagonal] = np.arange(n)
-    indptr = np.zeros(n + 1, dtype=cols.dtype)
-    np.cumsum(np.bincount(rows, minlength=n) + 1, out=indptr[1:])
-    q = csr_array((data, indices, indptr), shape=(n, n))
-    q.has_canonical_format = True
+    states = np.arange(n, dtype=cols.dtype)
+    data = np.concatenate((rates, -np.bincount(cols, weights=rates, minlength=n)))
+    q = csr_array((data, (np.concatenate((rows, states)), np.concatenate((cols, states)))),
+                  shape=(n, n))
+    q.sum_duplicates()
     # frozen, so that validate_generator reads it in place
     return _frozen(q)
 
@@ -534,6 +513,8 @@ def generator_from_json(obj: dict) -> GeneratorMatrix:
         raise ValueError("generator JSON needs a 'q' or 'rates' field")
     if "n" in obj:
         try:
+            if isinstance(obj["n"], bool):
+                raise TypeError
             n = operator.index(obj["n"])
         except TypeError:
             raise ValueError(

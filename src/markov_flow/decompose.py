@@ -225,7 +225,7 @@ def dual(gen: GeneratorMatrix) -> GeneratorMatrix:
     accurate relative to every entry, not only to ``max pi`` as LU's is.
     """
     pi = stationary_tree(gen).p
-    return from_offdiagonal_rates((as_dense(gen.q) * pi).T / pi)
+    return from_offdiagonal_rates(as_dense(_flow(gen.q, pi)).T / pi)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Each entropy, divergence and :func:`gini_production` takes one
 distribution ``(n,)`` and returns a float, or a stack ``(m, n)`` of
 distributions, one per row, and returns ``m`` values.  The two production
-splits take one distribution only.
+splits take one distribution only.  The productions read the flow parts of
+a :class:`FlowDecomposition` as they are, dense or CSR.
 
 Sign convention: the math core works with divergences, which are >= 0 and
 decay toward zero along the evolution.  The entropy-oriented quantities
@@ -27,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ProbabilityVector, _check_positive, _finite_scale, _read_numbers, as_dense
+from .core import ProbabilityVector, _check_positive, _finite_scale, _issparse, _read_numbers
 from .decompose import FlowDecomposition
 from .errors import InvalidProbability, NotAntisymmetric, PositivityViolation
 
@@ -155,7 +156,7 @@ def gini_divergence(p, pi) -> float | np.ndarray:
 
 def _quadratic_form(r: np.ndarray, m) -> np.ndarray:
     """``2 r^T m r`` for each row of ``r``."""
-    return 2.0 * np.einsum("...j,...j->...", r @ as_dense(m), r)
+    return 2.0 * np.einsum("...j,...j->...", r @ m, r)
 
 
 def gini_production(p, d: FlowDecomposition) -> float | np.ndarray:
@@ -178,11 +179,10 @@ def production_split(p, d: FlowDecomposition) -> dict:
     """
     arr, ref = _one_distribution(p, d.pi, "production_split")
     r = arr / ref
-    A = as_dense(d.A)
     with np.errstate(invalid="ignore"):
-        s_part, a_part = _quadratic_form(r, d.S), _quadratic_form(r, A)
+        s_part, a_part = _quadratic_form(r, d.S), _quadratic_form(r, d.A)
     s_part, a_part = _per_row(s_part, arr), float(a_part)
-    a_scale = np.linalg.norm(A) * float(r @ r)
+    a_scale = np.linalg.norm(d.A.data if _issparse(d.A) else d.A) * float(r @ r)
     # also true for a NaN
     if not abs(a_part) <= PRODUCTION_SPLIT_RTOL * max(a_scale, 1e-300):
         raise NotAntisymmetric(
@@ -212,9 +212,20 @@ def shannon_production_split(p, d: FlowDecomposition) -> dict:
     weight = 1.0 + np.log(r)
     # an infinite entry of p gives NaN parts, which _per_row refuses
     with np.errstate(invalid="ignore"):
-        s_part = -(as_dense(d.S) @ r) @ weight
-        a_part = -(as_dense(d.A) @ r) @ weight
+        s_part = -(d.S @ r) @ weight
+        a_part = -(d.A @ r) @ weight
     return {"s_part": _per_row(s_part, arr), "a_part": _per_row(a_part, arr)}
+
+
+# tag -> (default trace name, value(p, pi, f) of a distribution or a stack, its
+# direction along an evolution: -1 non-increasing, +1 non-decreasing, 0 none).
+# Each value looks its function up in this module when called.
+_KINDS = {
+    "shannon": ("shannon", lambda p, pi, f: shannon_entropy(p), 0),
+    "relative_shannon": ("kl", lambda p, pi, f: kl_divergence(p, pi), -1),
+    "relative_gini": ("gini_divergence", lambda p, pi, f: gini_divergence(p, pi), -1),
+    "relative_f": ("relative_f", lambda p, pi, f: relative_f_entropy(p, pi, f), 1),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,21 +242,14 @@ class EntropyKind:
     trace_name: str = ""
 
     def __post_init__(self):
-        valid = {"shannon", "relative_shannon", "relative_gini", "relative_f"}
-        if self.tag not in valid:
+        if self.tag not in _KINDS:
             raise ValueError(f"unknown entropy kind {self.tag!r}")
         if self.tag == "relative_f":
             if self.f is None:
                 raise ValueError("relative_f kind needs a convex handle f")
             _check_normalized(self.f)
         if not self.trace_name:
-            default = {
-                "shannon": "shannon",
-                "relative_shannon": "kl",
-                "relative_gini": "gini_divergence",
-                "relative_f": "relative_f",
-            }[self.tag]
-            object.__setattr__(self, "trace_name", default)
+            object.__setattr__(self, "trace_name", _KINDS[self.tag][0])
 
 
 SHANNON = EntropyKind("shannon")

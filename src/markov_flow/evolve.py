@@ -45,14 +45,7 @@ from scipy.linalg import expm
 
 from .core import GeneratorMatrix, ProbabilityVector, _frozen, _read_numbers, as_dense
 from .decompose import FlowDecomposition
-from .entropy import (
-    EntropyKind,
-    gini_divergence,
-    gini_production,
-    kl_divergence,
-    relative_f_entropy,
-    shannon_entropy,
-)
+from .entropy import _KINDS, EntropyKind, gini_production
 from .errors import Overflow
 
 log = logging.getLogger(__name__)
@@ -272,12 +265,14 @@ def _first_shift(x: np.ndarray, direction: int, tol: float):
     return int(hits[0]) if hits.size else None
 
 
-def _nonmonotone_index(x: np.ndarray, tol: float):
-    up = _first_shift(x, +1, tol)
-    down = _first_shift(x, -1, tol)
-    if up is None or down is None:
-        return None
-    return max(up, down)
+def _monotone_violation(x: np.ndarray, direction: int):
+    """Index of the first step where x moves against ``direction`` beyond
+    MONOTONE_TOL; for direction 0, the step by which x has both risen and
+    fallen."""
+    if direction:
+        return _first_shift(x, -direction, MONOTONE_TOL)
+    up, down = _first_shift(x, +1, MONOTONE_TOL), _first_shift(x, -1, MONOTONE_TOL)
+    return None if up is None or down is None else max(up, down)
 
 
 def entropy_trace(traj: Trajectory, d: FlowDecomposition,
@@ -299,19 +294,10 @@ def entropy_trace(traj: Trajectory, d: FlowDecomposition,
     flags = dict(traj.monotone_violations)
     rows, pi = traj.states, d.pi
     for kind in sorted(kinds, key=lambda k: k.trace_name):
-        if kind.tag == "shannon":
-            series = shannon_entropy(rows)
-            flag = _nonmonotone_index(series, MONOTONE_TOL)
-        elif kind.tag == "relative_shannon":
-            series = kl_divergence(rows, pi)
-            flag = _first_shift(series, +1, MONOTONE_TOL)
-        elif kind.tag == "relative_gini":
-            series = gini_divergence(rows, pi)
-            flag = _first_shift(series, +1, MONOTONE_TOL)
+        _, value, direction = _KINDS[kind.tag]
+        series = value(rows, pi, kind.f)
+        if kind.tag == "relative_gini":
             traces["gini_production"] = gini_production(rows, d)
-        else:  # relative_f
-            series = relative_f_entropy(rows, pi, kind.f)
-            flag = _first_shift(series, -1, MONOTONE_TOL)
         traces[kind.trace_name] = series
-        flags[kind.trace_name] = flag
+        flags[kind.trace_name] = _monotone_violation(series, direction)
     return replace(traj, traces=traces, monotone_violations=flags)

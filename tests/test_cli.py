@@ -271,11 +271,12 @@ def test_non_finite_p0_exits_2(command, p0, refusal, q3_path, tmp_path, capsys):
     ({"n": [2], "rates": [[0, 1], [1, 0]]}, "declared n must be an integer, got [2]"),
     ({"n": None, "rates": [[0, 1], [1, 0]]}, "declared n must be an integer, got None"),
     ({"n": 2.9, "rates": [[0, 1], [1, 0]]}, "declared n must be an integer, got 2.9"),
+    ({"n": True, "rates": [[0, 1], [1, 0]]}, "declared n must be an integer, got True"),
     ({"rates": [[0, True], [True, 0]]}, "the rates must be a square array of numbers"),
     ({"q": [["-1", "1"], ["1", "-1"]]}, "the generator q must be a square array of numbers"),
     ({"rates": [[0.5, True], [True, 0]]}, "the rates must be a square array of numbers"),
 ], ids=["q-nan", "q-inf", "rates-inf", "q-object", "q-ragged", "q-string",
-        "rates-object", "rates-ragged", "n-list", "n-null", "n-float",
+        "rates-object", "rates-ragged", "n-list", "n-null", "n-float", "n-bool",
         "rates-bool", "q-numeric-strings", "rates-mixed-bool"])
 @pytest.mark.parametrize("command", ["stationary", "decompose"])
 def test_non_finite_generator_exits_2(command, generator, refusal, tmp_path, capsys):

@@ -60,6 +60,12 @@ def test_problem_validation():
         fpe_problem(((3.0, -3.0), (-3.0, 3.0)), 8, 8, "quadratic")
 
 
+@pytest.mark.parametrize("nx, ny", [(8.0, 8), (8, 8.5), (True, 8)])
+def test_grid_size_that_is_not_an_integer_is_refused(nx, ny):
+    with pytest.raises(ValueError, match="grid invariant violated: nx and ny must be integers"):
+        fpe_problem(DOMAIN, nx, ny, "quadratic")
+
+
 def test_gibbs_uniform_for_constant_potential():
     prob = fpe_problem(DOMAIN, 6, 6, lambda x, y: np.zeros_like(x))
     gibbs = gibbs_distribution(prob)
@@ -336,6 +342,28 @@ def test_sparse_twin_gives_the_same_results():
     cycles = cycle_decompose(d.A)
     assert cycles.cycles == cycle_decompose(d_twin.A).cycles
     close(superpose_cycles(cycles, prob.n), d_twin.A, 1e-13)
+
+
+def test_entropy_productions_run_on_csr_parts_past_the_dense_cap(monkeypatch):
+    # the productions read CSR parts as they are, so a level beyond the cap
+    # on densified operands gives its dense twin's values
+    monkeypatch.setattr("markov_flow.core.DENSE_MAX_STATES", 100)
+    gen = discretize_fpe(fpe_problem(DOMAIN, 16, 16, "quadratic", "identity", 0.5))
+    d = decompose(gen)
+    assert issparse(d.A) and d.n == 256
+    d_twin = FlowDecomposition(pi=d.pi, F=d.F.toarray(), S=d.S.toarray(),
+                               A=d.A.toarray())
+    p = np.random.default_rng(3).uniform(0.5, 1.5, d.n)
+    p /= p.sum()
+
+    s_part = gini_production(p, d_twin)
+    assert abs(gini_production(p, d) - s_part) <= 1e-12 * abs(s_part)
+    for split, a_scale in ((production_split, "s_part"),
+                           (shannon_production_split, "a_part")):
+        a, b = split(p, d), split(p, d_twin)
+        assert abs(a["s_part"] - b["s_part"]) <= 1e-12 * abs(b["s_part"])
+        # the quadratic split's a_part is round-off, measured at its s_part's scale
+        assert abs(a["a_part"] - b["a_part"]) <= 1e-12 * abs(b[a_scale])
 
 
 def test_reversible_sparse_twin_gives_the_same_split():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from markov_flow import (
     compose,
@@ -35,8 +36,7 @@ from markov_flow.errors import (
 from markov_flow.core import (
     DENSE_MAX_STATES,
     GeneratorMatrix,
-    _strongly_connected,
-    _support_classes,
+    _reducible_classes,
     as_dense,
 )
 
@@ -251,7 +251,7 @@ def test_reducible_lists_the_same_classes_for_every_input_form(raw, convention):
         validate_generator(raw, convention)
     assert str(exc.value) == (
         "irreducibility invariant violated: 3 communicating classes "
-        "[[0, 1], [3, 4], [2]]; closed classes [[0, 1], [3, 4]] (stationary "
+        "[[0, 1], [2], [3, 4]]; closed classes [[0, 1], [3, 4]] (stationary "
         "distribution would not be strictly positive)"
     )
 
@@ -286,12 +286,18 @@ def supports(draw):
 def test_strong_connectivity_agrees_with_support_classes(edges):
     rates = edges.astype(float)
     q = rates - np.diag(rates.sum(axis=0))
-    expected = len(_support_classes(q.T > 0.0)[0]) == 1
+    n_comp, labels = connected_components(q.T > 0.0, connection="strong")
+    # scipy's classes, ordered by their least state; closed: no rate leaves
+    classes = sorted(np.flatnonzero(labels == c).tolist() for c in range(n_comp))
+    src, dst = np.nonzero(q.T > 0.0)
+    leaving = set(labels[src[labels[src] != labels[dst]]].tolist())
+    closed = [c for c in classes if labels[c[0]] not in leaving]
+    expected = None if n_comp == 1 else (classes, closed)
     n = q.shape[0]
     rows, cols = np.divmod(np.arange(n * n), n)
     stored_zeros = csr_array((q.ravel(), (rows, cols)), shape=(n, n))
     for form in (q, csr_array(q), stored_zeros):
-        assert _strongly_connected(form) == expected
+        assert _reducible_classes(form) == expected
 
 
 @pytest.mark.parametrize("form", [np.array, csr_array], ids=["dense", "csr"])
