@@ -20,6 +20,7 @@ import numpy as np
 
 from . import instances
 from .core import (
+    _json_field,
     as_dense,
     generator_from_json,
     generator_to_json,
@@ -109,17 +110,6 @@ def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
     return ",".join(header) + "\n" + (rows * len(columns[0])) % tuple(values)
 
 
-def _matrix_from_json(obj, *keys):
-    """The matrix of a bare JSON array, or of the first of ``keys`` in a
-    JSON object, as parsed: :func:`compose` converts and checks it."""
-    if isinstance(obj, dict):
-        for key in keys:
-            if key in obj:
-                return obj[key]
-        raise ValueError(f"matrix JSON object needs one of the fields {keys}")
-    return obj
-
-
 def _decomposition_json(d) -> dict:
     return {"pi": d.pi.p.tolist(), "S": as_dense(d.S).tolist(),
             "A": as_dense(d.A).tolist()}
@@ -163,8 +153,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_compose(args) -> int:
     pi = probability_from_json(_read_json(args.pi))
-    s = _matrix_from_json(_read_json(args.S), "S", "matrix")
-    a = _matrix_from_json(_read_json(args.A), "A", "matrix")
+    s = _json_field(_read_json(args.S), "S", "matrix")
+    a = _json_field(_read_json(args.A), "A", "matrix")
     gen = compose(pi, s, a)
     _emit_json(generator_to_json(gen), args.output)
     return 0
@@ -214,14 +204,13 @@ def _time_grid(gen, args, d, sb=None) -> np.ndarray:
     ten relaxation times of ``sb``, the spectral bound of ``gen``'s
     decomposition ``d``; when ``sb`` is None it is computed from ``d`` here,
     on a best-effort basis."""
-    if args.t_max is not None:
-        return default_time_grid(gen, points=args.points, t_max=args.t_max)
-    if sb is None:
+    rate = None
+    if args.t_max is None:
         try:
-            sb = spectral_bound(d)
+            rate = (spectral_bound(d) if sb is None else sb).lambda2
         except MarkovFlowError:
-            return default_time_grid(gen, points=args.points)
-    return default_time_grid(gen, points=args.points, decay_rate=sb.lambda2)
+            pass
+    return default_time_grid(gen, points=args.points, t_max=args.t_max, decay_rate=rate)
 
 
 def _cmd_evolve(args) -> int:

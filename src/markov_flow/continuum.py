@@ -214,8 +214,7 @@ def _domain_bounds(domain) -> tuple[float, float, float, float]:
 def _check_diffusion(d: np.ndarray):
     # the checks read D scaled by the power of two that brings max|D| into
     # [0.5, 1): the scaling is exact, and det's products cannot overflow
-    e = int(np.frexp(np.abs(d).max())[1])
-    d = np.ldexp(d, -e)
+    d, e = _unit_scaled(d)
     scale = np.abs(d).max()
     tol = DIFFUSION_RTOL * scale
     asym = np.abs(d[..., 0, 1] - d[..., 1, 0]).max()
@@ -471,7 +470,7 @@ def operator_symmetry_report(problem: FpeProblem,
 
     def residual(m, sign):
         """max over probe pairs of |<Mf, g> - sign <f, Mg>|, relative."""
-        data, _ = _unit_scaled(m)
+        data, _ = _unit_scaled(m.data)
         m = csr_array((data, m.indices, m.indptr), shape=m.shape)
         pairs = (f @ m.T) @ g.T - sign * (f @ (g @ m.T).T)
         return float((np.abs(pairs) / fg).max()) / max(float(np.linalg.norm(data)), 1e-300)
@@ -479,8 +478,8 @@ def operator_symmetry_report(problem: FpeProblem,
     # the diffusion-only twin, on this problem's stencil geometry
     q_d, _ = _assemble(problem, np.zeros_like(problem.gamma))
     s_d = _flow(q_d.q, stationary_solve(q_d).p)
-    diff, e_diff = _unit_scaled(d.S - s_d)
-    flow, e_flow = _unit_scaled(d.F)
+    diff, e_diff = _unit_scaled((d.S - s_d).data)
+    flow, e_flow = _unit_scaled(d.F.data)
     l_norm = max(float(np.linalg.norm(flow)), 1e-300)
     return OperatorSymmetryReport(
         sym_residual=residual(d.S, 1.0),
@@ -489,13 +488,13 @@ def operator_symmetry_report(problem: FpeProblem,
     )
 
 
-def _unit_scaled(m):
-    """``(data, e)``: the values of a canonical CSR ``m`` times ``2**-e``,
-    with the ``e`` that brings max|m| into [0.5, 1) (0 for a zero ``m``).
-    The scaling is exact, so a ratio of norms or probe products of scaled
-    matrices is that of the matrices themselves to the last bit."""
-    e = int(np.frexp(_max_abs(m))[1])
-    return np.ldexp(m.data, -e), e
+def _unit_scaled(values):
+    """``(values * 2**-e, e)``, with the ``e`` that brings max|values| into
+    [0.5, 1) (0 when every value is zero).  The scaling is exact, so a ratio
+    of norms or probe products of scaled values is that of the values
+    themselves to the last bit."""
+    e = int(np.frexp(_max_abs(values))[1])
+    return np.ldexp(values, -e), e
 
 
 def refinement_study(domain, grids, phi, diffusion="identity", gamma=0.0):

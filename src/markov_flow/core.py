@@ -17,16 +17,14 @@ A CSR operand is canonical (sorted column indices, no duplicates).
 :func:`from_offdiagonal_rates` hands the continuum stencil's rates and the
 diagonal to scipy as ``(value, row, column)`` triples, and every check
 reads ``.data``, ``.indices`` and ``.indptr`` directly.
-:func:`validate_generator` copies a CSR input with a writable values or
-index array, since the caller keeps it; a frozen one (all three read-only,
-as :func:`from_offdiagonal_rates` hands over the array it has just built,
-or a generator's ``q``) is validated in place, and
-:class:`GeneratorMatrix` freezes a canonical CSR array without copying it
-again.  Validation derives each entry's row once.  The stationary solve
-takes a reversible chain's ``pi`` from rate ratios on its arrays, and
-otherwise splices its anchor row into them and hands SuperLU one CSC copy;
-the flow split computes ``F`` on ``q``'s pattern and its parts by one
-transpose and two sparse sums.
+:func:`validate_generator` always checks its own copy of the caller's
+input, so no generator shares a caller's array; the builders check the
+array they have just made in place, and :class:`GeneratorMatrix` freezes a
+canonical CSR array without copying it again.  Validation derives each
+entry's row once.  The stationary solve takes a reversible chain's ``pi``
+from rate ratios on its arrays, and otherwise splices its anchor row into
+them and hands SuperLU one CSC copy; the flow split computes ``F`` on
+``q``'s pattern and its parts by one transpose and two sparse sums.
 
 Irreducibility is decided by one labelling of the support's strong
 components, which also names the classes of a refused generator.
@@ -367,11 +365,18 @@ def _sums(m, axis: int) -> np.ndarray:
 
 
 def _check_square(m, what: str):
-    """Raise ``ValueError`` unless ``m`` is square with at least 2 rows."""
+    """Raise ``ValueError`` unless ``m`` is square."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
-    if m.shape[0] < 2:
-        raise ValueError(f"generator needs at least 2 states, got n={m.shape[0]}")
+
+
+def _oriented(q, convention: str):
+    """``q`` in column convention; ``"row"`` input is transposed."""
+    if convention == "row":
+        return q.T.tocsr() if _issparse(q) else np.ascontiguousarray(q.T)
+    if convention != "column":
+        raise ValueError(f"unknown convention {convention!r}; use 'column' or 'row'")
+    return q
 
 
 def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
@@ -383,9 +388,8 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
         Candidate generator, of numbers: ints or floats, numpy scalars
         included, never a bool, ``None`` or a string.  With
         ``convention="row"`` the input is transposed before any check runs.
-        A CSR input gives a CSR generator; it is copied unless it is a
-        canonical float CSR array whose values and index arrays are all
-        read-only, which the generator then shares.
+        A CSR input gives a CSR generator.  The generator keeps the copy of
+        ``raw`` that was checked, never the caller's array.
     convention : {"column", "row"}
 
     Raises
@@ -399,22 +403,21 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
         the positive-rate graph, so the accepted matrices always have a
         unique, strictly positive stationary distribution.
     """
-    sparse = _issparse(raw)
-    if sparse:
-        # the caller keeps its array: one with a writable part is copied
-        frozen = _canonical_csr(raw) and not any(
-            a.flags.writeable for a in (raw.data, raw.indices, raw.indptr))
-        q = raw if frozen else _canonical_copy(raw)
+    if _issparse(raw):
+        q = _canonical_copy(raw)
     else:
         q = _read_numbers(raw, "the generator q", "a square array of numbers")
     _check_square(q, "generator")
-    if convention == "row":
-        q = q.T.tocsr() if sparse else np.ascontiguousarray(q.T)
-    elif convention != "column":
-        raise ValueError(f"unknown convention {convention!r}; use 'column' or 'row'")
+    return _checked(_oriented(q, convention))
 
+
+def _checked(q) -> GeneratorMatrix:
+    """``GeneratorMatrix(q)`` once every generator invariant holds; ``q``, a
+    square float or canonical CSR array that no caller holds, is kept."""
+    if q.shape[0] < 2:
+        raise ValueError(f"generator needs at least 2 states, got n={q.shape[0]}")
     scale = _finite_scale(q, "the generator")
-    if sparse:
+    if _issparse(q):
         off, entries = _offdiagonal(q)
         least, i, j = _least(*entries)
     else:
@@ -433,9 +436,9 @@ def validate_generator(raw, convention: str = "column") -> GeneratorMatrix:
         classes, closed = reducible
         raise Reducible(
             "irreducibility invariant violated: "
-            f"{len(classes)} communicating classes {classes}; "
-            f"closed classes {closed} (stationary distribution would not be "
-            "strictly positive)"
+            f"{len(classes)} communicating classes {reprlib.repr(classes)}; "
+            f"closed classes {reprlib.repr(closed)} (stationary distribution "
+            "would not be strictly positive)"
         )
     return GeneratorMatrix(q)
 
@@ -444,7 +447,7 @@ def from_offdiagonal_rates(rates) -> GeneratorMatrix:
     """Build a generator from off-diagonal rates, ignoring the diagonal.
 
     The diagonal is overwritten with minus the column sums, so the result
-    conserves probability exactly, then the full validation runs.  CSR
+    conserves probability exactly, then the built array is checked.  CSR
     ``rates`` give a CSR generator, built by scipy from triples: rates at
     or below zero are dropped and the diagonal entries added.  Each column
     sum adds the column's rates in ascending row order, as numpy's dense
@@ -471,11 +474,11 @@ def from_offdiagonal_rates(rates) -> GeneratorMatrix:
         raise NegativeRate(f"rate invariant violated: rate[{i},{j}] = {least:.6g} < 0")
     if sparse:
         positive = values > 0.0
-        return validate_generator(_csr_generator(
+        return _checked(_csr_generator(
             rows[positive], cols[positive], values[positive], r.shape[0]))
     r = np.clip(r, 0.0, None)
     np.fill_diagonal(r, -r.sum(axis=0))
-    return validate_generator(r)
+    return _checked(r)
 
 
 def _csr_generator(rows, cols, rates, n: int):
@@ -492,23 +495,24 @@ def _csr_generator(rows, cols, rates, n: int):
     q = csr_array((data, (np.concatenate((rows, states)), np.concatenate((cols, states)))),
                   shape=(n, n))
     q.sum_duplicates()
-    # frozen, so that validate_generator reads it in place
-    return _frozen(q)
+    return q
 
 
 def generator_from_json(obj: dict) -> GeneratorMatrix:
     """Load a generator from its JSON object form.
 
-    Two schemas are accepted: ``{"n": 3, "convention": "column", "q":
-    [[...]]}`` with an explicit diagonal, and the off-diagonal-only
-    variant ``{"n": 3, "rates": [[...]]}`` whose diagonal is recomputed.
+    Two schemas are accepted, each with an optional ``"convention"``:
+    ``{"n": 3, "q": [[...]]}`` with an explicit diagonal, and the
+    off-diagonal-only ``{"n": 3, "rates": [[...]]}``, diagonal recomputed.
     """
     if not isinstance(obj, dict):
         raise ValueError("generator JSON must be an object")
+    convention = obj.get("convention", "column")
     if "q" in obj:
-        gen = validate_generator(obj["q"], obj.get("convention", "column"))
+        gen = validate_generator(obj["q"], convention)
     elif "rates" in obj:
-        gen = from_offdiagonal_rates(obj["rates"])
+        rates = _read_numbers(obj["rates"], "the rates", "a square array of numbers")
+        gen = from_offdiagonal_rates(_oriented(rates, convention))
     else:
         raise ValueError("generator JSON needs a 'q' or 'rates' field")
     if "n" in obj:
@@ -532,9 +536,15 @@ def generator_to_json(gen: GeneratorMatrix) -> dict:
 def probability_from_json(obj) -> ProbabilityVector:
     """Load a probability vector from JSON: either a bare array or an
     object ``{"p": [...]}`` (also accepts the ``"pi"`` key)."""
-    if isinstance(obj, dict):
-        for key in ("p", "pi"):
-            if key in obj:
-                return probability_vector(obj[key])
-        raise ValueError("probability JSON object needs a 'p' (or 'pi') field")
-    return probability_vector(obj)
+    return probability_vector(_json_field(obj, "p", "pi"))
+
+
+def _json_field(obj, *keys):
+    """A bare JSON value as it is, or the first of ``keys`` present in a
+    JSON object."""
+    if not isinstance(obj, dict):
+        return obj
+    for key in keys:
+        if key in obj:
+            return obj[key]
+    raise ValueError(f"JSON object needs one of the fields {keys}")

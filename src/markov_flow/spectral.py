@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_positive, _frozen, _read_numbers, as_dense
+from .core import _check_positive, _check_square, _frozen, _read_numbers, as_dense
 from .decompose import FlowDecomposition
 from .entropy import gini_divergence
 from .errors import (
@@ -103,8 +103,7 @@ def symmetric_eigensolve(m):
     non-finite eigenvalues.
     """
     a = _read_numbers(m, "the matrix", "a square array of numbers")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    _check_square(a, "matrix")
     asym = np.linalg.norm(a - a.T)
     if asym > 1e-12 * max(np.linalg.norm(a), 1e-300):
         raise NotSymmetric(f"symmetry invariant violated: ||m - m^T|| = {asym:.3g}")

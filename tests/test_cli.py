@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from markov_flow import cli, cycle_decompose, decompose, generator_from_json, generator_to_json
 from markov_flow.cli import _csv_text, main
+from markov_flow.errors import NoConvergence
 
 from helpers import random_generator
 
@@ -180,6 +181,29 @@ def test_evolve_decomposes_once(q3_path, tmp_path, monkeypatch):
     assert solve_calls.call_count == 1
 
 
+def test_evolve_with_an_unknown_trace_exits_2(q3_path, tmp_path, capsys):
+    p0 = tmp_path / "p0.json"
+    write_json(p0, [1.0, 0.0, 0.0])
+    assert main(["evolve", "--input", str(q3_path), "--p0", str(p0),
+                 "--traces", "kl,foo"]) == 2
+    assert "unknown trace tokens ['foo']" in capsys.readouterr().err
+
+
+def test_evolve_grid_falls_back_to_the_exit_rates(q3_path, tmp_path, monkeypatch):
+    # without a spectrum the grid runs to 10 / min|q_ii|, which is 10 here
+    def refuse(d):
+        raise NoConvergence("LAPACK eigh did not converge")
+
+    monkeypatch.setattr(cli, "spectral_bound", refuse)
+    p0 = tmp_path / "p0.json"
+    write_json(p0, [1.0, 0.0, 0.0])
+    out = tmp_path / "traj.csv"
+    assert main(["evolve", "--input", str(q3_path), "--p0", str(p0),
+                 "--points", "5", "--output", str(out)]) == 0
+    _, data = read_csv(out)
+    np.testing.assert_array_equal(data[:, 0], np.geomspace(0.01, 10.0, 5))
+
+
 def test_bound_csv_two_state(q2_path, tmp_path):
     p0 = tmp_path / "e1.json"
     write_json(p0, [1.0, 0.0])
@@ -275,15 +299,40 @@ def test_non_finite_p0_exits_2(command, p0, refusal, q3_path, tmp_path, capsys):
     ({"rates": [[0, True], [True, 0]]}, "the rates must be a square array of numbers"),
     ({"q": [["-1", "1"], ["1", "-1"]]}, "the generator q must be a square array of numbers"),
     ({"rates": [[0.5, True], [True, 0]]}, "the rates must be a square array of numbers"),
+    ({"convention": "diag", "q": [[-1, 1], [1, -1]]}, "unknown convention 'diag'"),
+    ({"convention": "diag", "rates": [[0, 1], [1, 0]]}, "unknown convention 'diag'"),
 ], ids=["q-nan", "q-inf", "rates-inf", "q-object", "q-ragged", "q-string",
         "rates-object", "rates-ragged", "n-list", "n-null", "n-float", "n-bool",
-        "rates-bool", "q-numeric-strings", "rates-mixed-bool"])
+        "rates-bool", "q-numeric-strings", "rates-mixed-bool", "q-convention",
+        "rates-convention"])
 @pytest.mark.parametrize("command", ["stationary", "decompose"])
 def test_non_finite_generator_exits_2(command, generator, refusal, tmp_path, capsys):
     path = tmp_path / "q.json"
     write_json(path, generator)
     assert main([command, "--input", str(path)]) == 2
     assert refusal in capsys.readouterr().err
+
+
+def test_rates_file_in_row_convention_is_transposed(tmp_path, capsys):
+    rates = [[0, 1, 2], [3, 0, 1], [1, 2, 0]]
+    row, column = tmp_path / "row.json", tmp_path / "column.json"
+    write_json(row, {"convention": "row", "rates": rates})
+    write_json(column, {"rates": np.array(rates).T.tolist()})
+    outputs = []
+    for path in (row, column):
+        assert main(["stationary", "--input", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_compose_part_without_its_field_exits_2(tmp_path, capsys):
+    paths = {name: tmp_path / f"{name}.json" for name in ("pi", "S", "A")}
+    write_json(paths["pi"], [0.5, 0.5])
+    write_json(paths["S"], {"A": [[-1.0, 1.0], [1.0, -1.0]]})
+    write_json(paths["A"], {"A": [[0.0, 0.0], [0.0, 0.0]]})
+    assert main(["compose", *(f"--{k}={v}" for k, v in paths.items())]) == 2
+    assert ("JSON object needs one of the fields ('S', 'matrix')"
+            in capsys.readouterr().err)
 
 
 def test_compose_of_non_numbers_exits_2(tmp_path, capsys):
@@ -603,6 +652,14 @@ def test_field_that_is_not_finite_numbers_exits_2(problem, invariant, tmp_path, 
     assert main(["continuum", "--problem", str(path), "--grid", "4",
                  "--refine", "1"]) == 2
     assert invariant in capsys.readouterr().err
+
+
+def test_sampled_gamma_cannot_be_refined(tmp_path, capsys):
+    path = tmp_path / "fpe.json"
+    write_json(path, {"gamma": [[0.5] * 4] * 4})
+    assert main(["continuum", "--problem", str(path), "--grid", "4",
+                 "--refine", "2"]) == 2
+    assert "sampled gamma cannot be resampled" in capsys.readouterr().err
 
 
 def test_over_cap_refinement_exits_before_any_level(tmp_path, capsys):

@@ -86,6 +86,18 @@ def test_non_square_rejected():
         validate_generator([[0.0]])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: validate_generator([[0.0]]),
+    lambda: validate_generator(csr_array([[0.0]])),
+    lambda: from_offdiagonal_rates([[0.0]]),
+    lambda: from_offdiagonal_rates(csr_array([[0.0]])),
+    lambda: compose([1.0], [[0.0]], [[0.0]]),
+], ids=["q", "csr-q", "rates", "csr-rates", "compose"])
+def test_every_builder_refuses_a_one_state_generator(build):
+    with pytest.raises(ValueError, match="generator needs at least 2 states, got n=1"):
+        build()
+
+
 def test_from_offdiagonal_three_cycle():
     gen = from_offdiagonal_rates([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     np.testing.assert_array_equal(np.diag(gen.q), [-1.0, -1.0, -1.0])
@@ -160,6 +172,8 @@ def test_probability_vector_validates():
         probability_vector([0.7, 0.4])
     with pytest.raises(InvalidProbability):
         probability_vector([1.2, -0.2])
+    with pytest.raises(InvalidProbability, match="probability vector is empty"):
+        probability_vector([])
 
 
 def test_probability_vector_clips_roundoff():
@@ -172,7 +186,7 @@ def test_probability_json_forms():
     np.testing.assert_array_equal(probability_from_json([1.0, 0.0]).p, [1.0, 0.0])
     np.testing.assert_array_equal(probability_from_json({"p": [0.5, 0.5]}).p, [0.5, 0.5])
     np.testing.assert_array_equal(probability_from_json({"pi": [0.5, 0.5]}).p, [0.5, 0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"JSON object needs one of the fields \('p', 'pi'\)"):
         probability_from_json({"weights": [1.0]})
 
 
@@ -254,6 +268,20 @@ def test_reducible_lists_the_same_classes_for_every_input_form(raw, convention):
         "[[0, 1], [2], [3, 4]]; closed classes [[0, 1], [3, 4]] (stationary "
         "distribution would not be strictly positive)"
     )
+
+
+def test_reducible_message_of_a_long_path_chain_stays_short():
+    # a 4096-state birth-death chain whose state 2048 cannot step back
+    n = 4096
+    states = np.arange(n - 1)
+    back = states[states != 2047]
+    rows = np.concatenate((states + 1, back))
+    cols = np.concatenate((states, back + 1))
+    rates = csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    with pytest.raises(Reducible) as exc:
+        from_offdiagonal_rates(rates)
+    assert "2 communicating classes" in str(exc.value)
+    assert len(str(exc.value)) < 1000
 
 
 @st.composite
@@ -401,10 +429,7 @@ def test_canonical_csr_generator_is_frozen_without_a_copy():
 
 def test_built_csr_generator_is_validated_without_a_copy(monkeypatch):
     copies = count_calls(monkeypatch, "markov_flow.core", "_canonical_copy")
-    q = from_offdiagonal_rates(csr_array(AWKWARD_RATES)).q
-    assert copies.call_count == 0
-    # a frozen canonical array is read in place; the generator shares it
-    assert validate_generator(q).q is q
+    from_offdiagonal_rates(csr_array(AWKWARD_RATES))
     assert copies.call_count == 0
 
 
@@ -418,15 +443,33 @@ def test_csr_generator_index_arrays_are_read_only():
         gen.q.indptr[1] = 0
 
 
-def test_csr_input_with_a_writable_index_array_is_copied():
+def test_csr_input_is_copied_whatever_its_flags():
+    parts = ("data", "indices", "indptr")
+    for frozen in ((), ("data",), ("indices",), parts):
+        raw = csr_array(from_offdiagonal_rates(AWKWARD_RATES).q)
+        for name in frozen:
+            getattr(raw, name).flags.writeable = False
+        q = validate_generator(raw).q
+        for name in parts:
+            assert not np.shares_memory(getattr(q, name), getattr(raw, name)), (frozen, name)
+            # the caller's arrays are left as they were
+            assert getattr(raw, name).flags.writeable == (name not in frozen)
+    # a generator's own frozen q is copied too
+    gen = from_offdiagonal_rates(csr_array(AWKWARD_RATES))
+    assert validate_generator(gen.q).q is not gen.q
+
+
+def test_validated_generator_keeps_its_bytes_when_the_caller_writes_its_array():
     raw = csr_array(from_offdiagonal_rates(AWKWARD_RATES).q)
-    raw.data.flags.writeable = False
-    q = validate_generator(raw).q
-    assert not np.shares_memory(q.indices, raw.indices)
-    assert raw.indices.flags.writeable     # the caller's arrays are left as they were
-    # once all three are read-only the generator shares them
-    raw.indices.flags.writeable = raw.indptr.flags.writeable = False
-    assert validate_generator(raw).q is raw
+    for part in (raw.data, raw.indices, raw.indptr):
+        part.flags.writeable = False
+    gen = validate_generator(raw)
+    q_bytes, pi_bytes = gen.q.toarray().tobytes(), decompose(gen).pi.p.tobytes()
+    raw.data.flags.writeable = True
+    raw.data[0] = 7.0
+    assert gen.q.toarray().tobytes() == q_bytes
+    assert decompose(gen).pi.p.tobytes() == pi_bytes
+    assert np.abs(gen.q @ decompose(gen).pi.p).max() < 1e-12
 
 
 def test_numpy_scalars_read_as_the_numbers_they_hold():
