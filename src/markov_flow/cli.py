@@ -2,9 +2,10 @@
 
 File conventions: matrices and configuration travel as JSON (human-
 diffable), time series as CSV with full-precision values (17 significant
-digits).  Exit codes: 0 success, 2 validation error with a message naming
-the violated invariant, 1 internal error.  All outputs are byte-identical
-across runs for identical inputs.
+digits).  Commands raise on failure; :func:`main` reads and cross-checks
+their ``--input`` and ``--p0`` files and maps errors to exit codes: 0
+success, 2 validation error naming the violated invariant, 1 internal
+error.  All outputs are byte-identical across runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -135,45 +136,36 @@ def _emit_bound_csv(report, output: str | None):
     )
 
 
-def _cmd_stationary(args) -> int:
-    gen = generator_from_json(_read_json(args.input))
+def _cmd_stationary(args, gen):
     if args.method == "tree":
         pi = stationary_tree(gen)
     else:
         pi = stationary_solve(gen)
     _emit_json({"pi": pi.p.tolist()}, args.output)
-    return 0
 
 
-def _cmd_decompose(args) -> int:
-    d = decompose(generator_from_json(_read_json(args.input)))
-    _emit_json(_decomposition_json(d), args.output)
-    return 0
+def _cmd_decompose(args, gen):
+    _emit_json(_decomposition_json(decompose(gen)), args.output)
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args):
     pi = probability_from_json(_read_json(args.pi))
     s = _json_field(_read_json(args.S), "S", "matrix")
     a = _json_field(_read_json(args.A), "A", "matrix")
-    gen = compose(pi, s, a)
-    _emit_json(generator_to_json(gen), args.output)
-    return 0
+    _emit_json(generator_to_json(compose(pi, s, a)), args.output)
 
 
-def _cmd_dual(args) -> int:
-    gen = dual(generator_from_json(_read_json(args.input)))
-    _emit_json(generator_to_json(gen), args.output)
-    return 0
+def _cmd_dual(args, gen):
+    _emit_json(generator_to_json(dual(gen)), args.output)
 
 
 _CYCLE = '    {\n      "nodes": [\n        %s\n      ],\n      "weight": %s\n    }'
 
 
-def _cmd_cycles(args) -> int:
+def _cmd_cycles(args, gen):
     """Writes the text :func:`_emit_json` would write for
     ``{"cycles": [{"nodes": [...], "weight": w}, ...]}``, rendered straight
     from the cycle tuples."""
-    gen = generator_from_json(_read_json(args.input))
     cycles = cycle_decompose(decompose(gen).A).cycles
     labels = [str(i) for i in range(gen.n)]
     weights = _flat_json([w for _, w in cycles])[1:-1].split(", ")
@@ -182,21 +174,12 @@ def _cmd_cycles(args) -> int:
         for (nodes, _), w in zip(cycles, weights))
     body = f"[\n{items}\n  ]" if cycles else "[]"
     _emit_text(f'{{\n  "cycles": {body}\n}}\n', args.output)
-    return 0
 
 
-def _cmd_entropy(args) -> int:
-    gen = generator_from_json(_read_json(args.input))
-    p0 = probability_from_json(_read_json(args.p0))
-    if p0.n != gen.n:
-        raise ValueError(
-            f"size invariant violated: p0 has {p0.n} entries, the generator "
-            f"has {gen.n} states"
-        )
+def _cmd_entropy(args, gen, p0):
     kind = TRACE_TOKENS[args.kind]
     value = _KINDS[kind.tag][1](p0, stationary_solve(gen), kind.f)
     _emit_text(json.dumps(value) + "\n", args.output)
-    return 0
 
 
 def _time_grid(gen, args, d, sb=None) -> np.ndarray:
@@ -213,9 +196,7 @@ def _time_grid(gen, args, d, sb=None) -> np.ndarray:
     return default_time_grid(gen, points=args.points, t_max=args.t_max, decay_rate=rate)
 
 
-def _cmd_evolve(args) -> int:
-    gen = generator_from_json(_read_json(args.input))
-    p0 = probability_from_json(_read_json(args.p0))
+def _cmd_evolve(args, gen, p0):
     tokens = [tok.strip() for tok in args.traces.split(",") if tok.strip()]
     unknown = [tok for tok in tokens if tok not in TRACE_TOKENS]
     if unknown:
@@ -226,20 +207,16 @@ def _cmd_evolve(args) -> int:
     traj = evolve(gen, p0, _time_grid(gen, args, d))
     traj = entropy_trace(traj, d, [TRACE_TOKENS[tok] for tok in tokens])
     _emit_trajectory_csv(traj, args.output)
-    return 0
 
 
-def _cmd_bound(args) -> int:
-    gen = generator_from_json(_read_json(args.input))
-    p0 = probability_from_json(_read_json(args.p0))
+def _cmd_bound(args, gen, p0):
     d = decompose(gen)
     sb = spectral_bound(d)
     traj = evolve(gen, p0, _time_grid(gen, args, d, sb))
     _emit_bound_csv(verify_bound(traj, sb), args.output)
-    return 0
 
 
-def _cmd_continuum(args) -> int:
+def _cmd_continuum(args):
     conf = _read_json(args.problem)
     if not isinstance(conf, dict):
         raise ValueError(
@@ -260,17 +237,10 @@ def _cmd_continuum(args) -> int:
                 "phi_samples array"
             )
         phi = conf["phi_samples"]
-        if args.refine != 1:
-            raise ValueError(
-                "custom potential samples cannot be resampled: use --refine 1"
-            )
-    diffusion = conf.get("D", "identity")
-    gamma = conf.get("gamma", 0.0)
-    if isinstance(gamma, list) and args.refine != 1:
-        raise ValueError("sampled gamma cannot be resampled: use --refine 1")
 
     grids = [args.grid * (2 ** k) for k in range(args.refine)]
-    levels = refinement_study(domain, grids, phi, diffusion, gamma)
+    levels = refinement_study(domain, grids, phi, conf.get("D", "identity"),
+                              conf.get("gamma", 0.0))
     l1 = [lv["l1_error_gibbs"] for lv in levels]
     mismatch = [lv["mismatch"] for lv in levels]
     report = {
@@ -283,10 +253,9 @@ def _cmd_continuum(args) -> int:
         "mismatch_ratios": [a / b for a, b in zip(mismatch, mismatch[1:]) if b > 0.0],
     }
     _emit_json(report, args.output)
-    return 0
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args):
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -318,7 +287,6 @@ def _cmd_demo(args) -> int:
 
     for path in written:
         sys.stdout.write(f"wrote {path}\n")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,68 +298,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stationary", help="stationary distribution of a generator")
-    p.add_argument("--input", required=True, help="generator JSON file")
+    def command(name, func, help, *inputs):
+        """Add subcommand ``name`` with ``--output`` and the ``inputs`` ("input",
+        "p0") that :func:`main` reads and passes on as ``func(args, gen[, p0])``."""
+        p = sub.add_parser(name, help=help)
+        if "input" in inputs:
+            p.add_argument("--input", required=True, help="generator JSON file")
+        if "p0" in inputs:
+            p.add_argument("--p0", required=True, help="probability JSON file")
+        p.add_argument("--output", help="output file (default: stdout)")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("stationary", _cmd_stationary, "stationary distribution of a generator",
+                "input")
     p.add_argument("--method", choices=["solve", "tree"], default="solve")
-    p.add_argument("--output", help="output JSON path (default: stdout)")
-    p.set_defaults(func=_cmd_stationary)
-
-    p = sub.add_parser("decompose", help="split a generator into (pi, S, A)")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("compose", help="build a generator from pi, S and A")
+    command("decompose", _cmd_decompose, "split a generator into (pi, S, A)", "input")
+    p = command("compose", _cmd_compose, "build a generator from pi, S and A")
     p.add_argument("--pi", required=True, help="probability JSON file")
     p.add_argument("--S", required=True, help="symmetric flow JSON file")
     p.add_argument("--A", required=True, help="circulation JSON file")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_compose)
+    command("dual", _cmd_dual, "time-reversed chain (same pi, negated circulation)",
+            "input")
+    command("cycles", _cmd_cycles, "peel the circulation into weighted cycles", "input")
+    p = command("entropy", _cmd_entropy, "entropy or divergence of a distribution",
+                "input", "p0")
+    p.add_argument("--kind", choices=list(TRACE_TOKENS), required=True)
 
-    p = sub.add_parser("dual", help="time-reversed chain (same pi, negated circulation)")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_dual)
+    traced = command("evolve", _cmd_evolve,
+                     "integrate the master equation, emit CSV traces", "input", "p0")
+    traced.add_argument("--traces", default=",".join(TRACE_TOKENS),
+                        help=f"comma-separated subset of {','.join(TRACE_TOKENS)}")
+    for p in (traced, command("bound", _cmd_bound,
+                              "verify the spectral decay bound along a trajectory",
+                              "input", "p0")):
+        p.add_argument("--t-max", type=float, default=None,
+                       help="end time (default: 10 / decay rate)")
+        p.add_argument("--points", type=int, default=200)
 
-    p = sub.add_parser("cycles", help="peel the circulation into weighted cycles")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_cycles)
-
-    p = sub.add_parser("entropy", help="entropy or divergence of a distribution")
-    p.add_argument("--input", required=True)
-    p.add_argument("--p0", required=True, help="probability JSON file")
-    p.add_argument("--kind", choices=["gini", "shannon", "kl"], required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_entropy)
-
-    p = sub.add_parser("evolve", help="integrate the master equation, emit CSV traces")
-    p.add_argument("--input", required=True)
-    p.add_argument("--p0", required=True)
-    p.add_argument("--t-max", type=float, default=None,
-                   help="end time (default: 10 / decay rate)")
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--traces", default="shannon,kl,gini",
-                   help="comma-separated subset of shannon,kl,gini")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_evolve)
-
-    p = sub.add_parser("bound", help="verify the spectral decay bound along a trajectory")
-    p.add_argument("--input", required=True)
-    p.add_argument("--p0", required=True)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("continuum", help="discretize a drift-diffusion problem and "
-                                         "run a grid-refinement study")
+    p = command("continuum", _cmd_continuum, "discretize a drift-diffusion problem "
+                                             "and run a grid-refinement study")
     p.add_argument("--problem", required=True, help="problem JSON file")
     p.add_argument("--grid", type=int, default=16, help="base grid size per axis")
     p.add_argument("--refine", type=int, default=3,
                    help="number of levels, doubling the grid each time")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_continuum)
 
     p = sub.add_parser("demo", help="regenerate the repository's worked examples")
     p.add_argument("--output-dir", default=".")
@@ -413,13 +363,25 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        inputs = []
+        if "input" in args:
+            inputs.append(generator_from_json(_read_json(args.input)))
+        if "p0" in args:
+            gen, p0 = inputs[0], probability_from_json(_read_json(args.p0))
+            if p0.n != gen.n:
+                raise ValueError(
+                    f"size invariant violated: p0 has {p0.n} entries, the "
+                    f"generator has {gen.n} states"
+                )
+            inputs.append(p0)
+        args.func(args, *inputs)
     except (MarkovFlowError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         sys.stderr.write(f"internal error: {exc!r}\n")
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -500,18 +500,24 @@ def _unit_scaled(values):
 def refinement_study(domain, grids, phi, diffusion="identity", gamma=0.0):
     """Run the discretization across grid sizes and collect accuracy data.
 
-    Fields must be resamplable (tags or callables).  Returns one dict per
-    level with the stationary-versus-Gibbs L1 error, the clip fraction,
-    the relative circulation magnitude, and the operator adjointness
-    residuals.  Consecutive L1 ratios near 4 per grid doubling are the
-    second-order signature of the scheme.  ``grids`` needs at least one
-    size.
+    Returns one dict per level with the stationary-versus-Gibbs L1 error,
+    the clip fraction, the relative circulation magnitude, and the operator
+    adjointness residuals.  Consecutive L1 ratios near 4 per grid doubling
+    are the second-order signature of the scheme.  ``grids`` needs at least
+    one size; with more, a field sampled on one grid raises ``ValueError``
+    before any level is built (tags, callables and constants are resampled).
     """
     if len(grids) < 1:
         raise ValueError(
             "refinement invariant violated: a study needs at least one grid "
             "level, got none"
         )
+    # samples carry two grid axes before those of a value (a scalar, a 2x2 D)
+    for name, field, grid_ndim in (("phi", phi, 2), ("D", diffusion, 4),
+                                   ("gamma", gamma, 2)):
+        if len(grids) > 1 and np.array(field, dtype=object).ndim >= grid_ndim:
+            raise ValueError(f"problem invariant violated: sampled {name} cannot be "
+                             f"resampled onto {len(grids)} grids; study one grid")
     # every level's problem is built, and its size checked, before the
     # first level is solved
     problems = [fpe_problem(domain, grid, grid, phi, diffusion, gamma)

@@ -469,7 +469,7 @@ def from_offdiagonal_rates(rates) -> GeneratorMatrix:
     else:
         np.fill_diagonal(r, 0.0)
         scale = _finite_scale(r, "the rate matrix")
-        least, i, j = _least_offdiagonal(r)
+        least, i, j = _least_offdiagonal(r) if r.size else (0.0, 0, 0)
     if least < -NEGATIVE_RATE_RTOL * scale:
         raise NegativeRate(f"rate invariant violated: rate[{i},{j}] = {least:.6g} < 0")
     if sparse:

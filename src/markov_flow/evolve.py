@@ -62,7 +62,7 @@ class Trajectory:
     """Time grid, probability rows, and named scalar traces.
 
     ``states[k]`` is the distribution at ``times[k]``, renormalized
-    row-wise (pre-correction drift is logged and bounded by 1e-9).
+    row-wise (drift past 1e-9 before renormalizing is logged, not refused).
     ``monotone_violations[name]`` is the first index where the named trace
     breaks its expected monotonicity beyond 1e-10, or None.
     """

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from markov_flow import cli, cycle_decompose, decompose, generator_from_json, ge
 from markov_flow.cli import _csv_text, main
 from markov_flow.errors import NoConvergence
 
-from helpers import random_generator
+from helpers import count_calls, random_generator
 
 
 def write_json(path, obj):
@@ -225,12 +226,32 @@ def test_bound_csv_two_state(q2_path, tmp_path):
      ["entropy", "--kind", "gini"], ["entropy", "--kind", "shannon"]],
     ids=["evolve", "bound", "entropy-kl", "entropy-gini", "entropy-shannon"],
 )
-def test_size_mismatch_exits_2(command, q3_path, tmp_path, capsys):
+def test_size_mismatch_exits_2(command, q3_path, tmp_path, monkeypatch, capsys):
+    # the sizes are checked before any decomposition or spectrum
+    decompose_calls = count_calls(monkeypatch, "markov_flow.cli", "decompose")
     p0 = tmp_path / "e1.json"
     write_json(p0, [1.0, 0.0])
     assert main([*command, "--input", str(q3_path), "--p0", str(p0)]) == 2
     err = capsys.readouterr().err
     assert "size invariant violated: p0 has 2 entries, the generator has 3 states" in err
+    assert decompose_calls.call_count == 0
+
+
+COMMANDS = ["stationary", "decompose", "compose", "dual", "cycles", "entropy",
+            "evolve", "bound", "continuum", "demo"]
+
+
+def test_every_command_but_demo_writes_to_output(capsys):
+    assert main(["--help"]) == 0
+    assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().out
+    for command in COMMANDS:
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert ("--output OUTPUT" in out) == (command != "demo"), command
+        for flag, text in (("--input INPUT", "generator JSON file"),
+                           ("--p0 P0", "probability JSON file")):
+            if flag in out:
+                assert re.search(re.escape(flag) + r"\s+" + text, out), (command, flag)
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])
@@ -522,10 +543,13 @@ def test_json_text_matches_stdlib_on_generated_documents(obj):
 
 def test_emit_json_matches_stdlib_on_cli_outputs(monkeypatch, tmp_path):
     """The bytes decompose, cycles and continuum write are the stdlib's
-    indented text of what they report."""
+    indented text of what they report, with no NaN or Infinity; the
+    continuum reports include one of a problem with ``D = 2^600 I``."""
     gen_path, problem = tmp_path / "q120.json", tmp_path / "fpe.json"
+    scaled = tmp_path / "fpe_scaled.json"
     write_json(gen_path, generator_to_json(random_generator(np.random.default_rng(61), 120)))
     write_json(problem, {"domain": [[-2, 2], [-2, 2]], "gamma": 0.5})
+    write_json(scaled, {"D": [[2.0 ** 600, 0.0], [0.0, 2.0 ** 600]], "gamma": 0.5 * 2.0 ** 600})
     emit, expected = cli._emit_json, {}
 
     def spy(obj, output):
@@ -533,16 +557,25 @@ def test_emit_json_matches_stdlib_on_cli_outputs(monkeypatch, tmp_path):
         emit(obj, output)
 
     monkeypatch.setattr(cli, "_emit_json", spy)
-    outputs = {command: str(tmp_path / f"{command}.json")
-               for command in ("decompose", "cycles", "continuum")}
-    for argv in (["decompose", "--input", str(gen_path)],
-                 ["cycles", "--input", str(gen_path)],
-                 ["continuum", "--problem", str(problem), "--grid", "8", "--refine", "2"]):
-        assert main([*argv, "--output", outputs[argv[0]]]) == 0
-    assert set(expected) == {outputs["decompose"], outputs["continuum"]}
+    runs = {
+        "decompose": ["decompose", "--input", str(gen_path)],
+        "cycles": ["cycles", "--input", str(gen_path)],
+        "continuum": ["continuum", "--problem", str(problem), "--grid", "8", "--refine", "2"],
+        "continuum_scaled": ["continuum", "--problem", str(scaled), "--grid", "16",
+                             "--refine", "2"],
+    }
+    outputs = {name: str(tmp_path / f"{name}.json") for name in runs}
+    for name, argv in runs.items():
+        assert main([*argv, "--output", outputs[name]]) == 0
+    assert set(expected) == {outputs[name] for name in runs if name != "cycles"}
     expected[outputs["cycles"]] = stdlib_cycles_text(gen_path)
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
     for output, text in expected.items():
         assert Path(output).read_bytes() == text, output
+        json.loads(text, parse_constant=refuse)
 
 
 def test_continuum_report(tmp_path):

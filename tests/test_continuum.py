@@ -54,6 +54,10 @@ def test_problem_validation():
         fpe_problem(DOMAIN, 8, 8, "unknown_tag")
     with pytest.raises(ValueError):
         fpe_problem(DOMAIN, 8, 8, "quadratic", diffusion=[[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(ValueError, match="unknown diffusion tag 'isotropic'"):
+        fpe_problem(DOMAIN, 8, 8, "quadratic", diffusion="isotropic")
+    with pytest.raises(ValueError, match="diffusion symmetry violated"):
+        fpe_problem(DOMAIN, 8, 8, "quadratic", diffusion=[[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(TooLarge):
         fpe_problem(DOMAIN, 257, 256, "quadratic")
     with pytest.raises(ValueError):
@@ -232,9 +236,13 @@ def test_double_well_catalog_runs():
 
 def test_operator_adjointness_residuals():
     prob = fpe_problem(DOMAIN, 10, 10, "quadratic", "identity", 0.5)
-    report = operator_symmetry_report(prob, decompose(discretize_fpe(prob)))
+    d = decompose(discretize_fpe(prob))
+    report = operator_symmetry_report(prob, d)
     assert report.sym_residual <= 1e-12
     assert report.anti_residual <= 1e-12
+    other = fpe_problem(DOMAIN, 8, 8, "quadratic", "identity", 0.5)
+    with pytest.raises(ValueError, match="decomposition has 100 states, the 8x8 grid has 64"):
+        operator_symmetry_report(other, d)
 
 
 def test_diffusion_only_operator_has_no_antisymmetric_part():
@@ -499,7 +507,13 @@ def test_overflowing_rates_raise_the_finiteness_error():
         discretize_fpe(prob)
 
 
-def test_refinement_study_needs_resamplable_fields():
-    phi = fpe_problem(DOMAIN, 8, 8, "quadratic").phi
-    with pytest.raises(ValueError):
-        refinement_study(DOMAIN, (8, 16), phi)
+def test_refinement_study_needs_resamplable_fields(monkeypatch):
+    # fields sampled on the first grid are refused before any level is built
+    sampled = fpe_problem(DOMAIN, 8, 8, "quadratic", "identity", 0.5)
+    build = count_calls(monkeypatch, "markov_flow.continuum", "fpe_problem")
+    for name, fields in (("phi", {"phi": sampled.phi}),
+                         ("D", {"phi": "quadratic", "diffusion": sampled.diffusion}),
+                         ("gamma", {"phi": "quadratic", "gamma": sampled.gamma})):
+        with pytest.raises(ValueError, match=f"sampled {name} cannot be resampled"):
+            refinement_study(DOMAIN, (8, 16), **fields)
+    assert build.call_count == 0

@@ -86,15 +86,17 @@ def test_non_square_rejected():
         validate_generator([[0.0]])
 
 
-@pytest.mark.parametrize("build", [
-    lambda: validate_generator([[0.0]]),
-    lambda: validate_generator(csr_array([[0.0]])),
-    lambda: from_offdiagonal_rates([[0.0]]),
-    lambda: from_offdiagonal_rates(csr_array([[0.0]])),
-    lambda: compose([1.0], [[0.0]], [[0.0]]),
-], ids=["q", "csr-q", "rates", "csr-rates", "compose"])
-def test_every_builder_refuses_a_one_state_generator(build):
-    with pytest.raises(ValueError, match="generator needs at least 2 states, got n=1"):
+@pytest.mark.parametrize("build, n", [
+    (lambda: validate_generator([[0.0]]), 1),
+    (lambda: validate_generator(csr_array([[0.0]])), 1),
+    (lambda: from_offdiagonal_rates([[0.0]]), 1),
+    (lambda: from_offdiagonal_rates(csr_array([[0.0]])), 1),
+    (lambda: compose([1.0], [[0.0]], [[0.0]]), 1),
+    (lambda: from_offdiagonal_rates(np.zeros((0, 0))), 0),
+    (lambda: from_offdiagonal_rates(csr_array((0, 0))), 0),
+], ids=["q", "csr-q", "rates", "csr-rates", "compose", "rates-0x0", "csr-rates-0x0"])
+def test_every_builder_refuses_a_one_state_generator(build, n):
+    with pytest.raises(ValueError, match=f"generator needs at least 2 states, got n={n}"):
         build()
 
 

@@ -27,6 +27,7 @@ from markov_flow.errors import (
     MarkovFlowError,
     NotAntisymmetric,
     NotBalanced,
+    NotSymmetric,
     RowSumViolation,
 )
 
@@ -151,6 +152,10 @@ def test_compose_validates_parts():
         compose(d.pi, bad_s, d.A)
     with pytest.raises(NotAntisymmetric):
         compose(d.pi, d.S, d.S)
+    with pytest.raises(NotSymmetric, match="symmetry invariant violated"):
+        compose(d.pi, d.S + np.triu(np.full((3, 3), 0.1), 1), d.A)
+    with pytest.raises(ValueError, match=r"shape mismatch: pi has 2 states, S is \(3, 3\)"):
+        compose([0.5, 0.5], d.S, d.A)
     # read as 1.0, this S would give a valid two-state chain
     with pytest.raises(ValueError, match="S must be a square array of numbers"):
         compose([0.5, 0.5], [[-1.0, True], [True, -1.0]], [[0.0, 0.0], [0.0, 0.0]])
