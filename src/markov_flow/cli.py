@@ -6,6 +6,9 @@ digits).  Commands raise on failure; :func:`main` reads and cross-checks
 their ``--input`` and ``--p0`` files and maps errors to exit codes: 0
 success, 2 validation error naming the violated invariant, 1 internal
 error.  All outputs are byte-identical across runs for identical inputs.
+JSON outputs are the text of ``json.dumps(obj, indent=2, sort_keys=True)``,
+written with few encoder calls; a decomposition's ``S`` and ``A`` format
+one triangle each and mirror the other.
 """
 
 from __future__ import annotations
@@ -62,22 +65,27 @@ def _emit_json(obj, output: str | None):
 
 _flat_json = json.JSONEncoder(sort_keys=True).encode
 _NUMBER_TYPES = {int, float}
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 def _json_text(obj, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, nested ``indent`` deep.
+    """``json.dumps(obj, indent=2, sort_keys=True)``, nested ``indent`` deep,
+    with an ndarray ``obj`` written as its ``tolist()``.
 
     ``indent`` forces the stdlib's pure-Python encoder, so a non-empty list
     is encoded as a column instead (:func:`_column_texts`): a list of
     numbers, or of non-empty lists of numbers, is one C-encoder call whose
     text is split back into items on ``", "`` or on the indented
     ``"], ["``.  That is byte-safe because no number text contains
-    ``", "``, ``[`` or ``]``.  Other lists and string-keyed dicts recurse;
-    anything else (empty containers, other keys) goes to the stdlib with
-    its newlines indented, since every newline in indented JSON is
-    structural.
+    ``", "``, ``[`` or ``]``.  An ndarray, which must be a square float
+    matrix, goes to :func:`_square_text`.  Other lists and string-keyed
+    dicts recurse; anything else (empty containers, other keys) goes to
+    the stdlib with its newlines indented, since every newline in indented
+    JSON is structural.
     """
     inner = indent + "  "
+    if isinstance(obj, np.ndarray):
+        return _square_text(obj, indent)
     if isinstance(obj, (str, int, float)) or obj is None:
         return _flat_json(obj)
     if isinstance(obj, (list, tuple)) and obj:
@@ -95,7 +103,7 @@ def _column_texts(column: list, indent: str) -> list[str]:
     lists has its ``", "`` indented before it is split into lists."""
     types = set(map(type, column))
     if types <= _NUMBER_TYPES:
-        return _flat_json(column)[1:-1].split(", ")
+        return _number_texts(column)
     if (types <= {list, tuple} and all(column)
             and set(map(type, chain.from_iterable(column))) <= _NUMBER_TYPES):
         inner = indent + "  "
@@ -105,6 +113,42 @@ def _column_texts(column: list, indent: str) -> list[str]:
     return [_json_text(v, indent) for v in column]
 
 
+def _number_texts(values: list) -> list[str]:
+    """The JSON text of each number in ``values``, from one C-encoder call."""
+    return _flat_json(values)[1:-1].split(", ")
+
+
+def _square_text(m: np.ndarray, indent: str) -> str:
+    """``_json_text(m.tolist(), indent)`` for a non-empty square float
+    matrix, formatting each distinct number once.
+
+    The upper triangle, diagonal included, is one encoder call.  Each
+    lower entry reuses its mirror's text: unchanged when their bits are
+    equal, with the sign flipped when they differ in the sign bit alone
+    (unless NaN, whose text has no sign).  The entries left, which a
+    symmetric ``S`` or antisymmetric ``A`` does not have, are one more
+    encoder call.  So ``S`` and ``A`` format about ``n^2 / 2`` floats each,
+    and an asymmetric matrix formats each of its ``n^2`` once.
+    """
+    n = m.shape[0]
+    upper, lower = np.triu_indices(n), np.tril_indices(n, -1)
+    texts = np.empty((n, n), dtype=object)
+    texts[upper] = _number_texts(m[upper].tolist())
+    bits = m.view(np.uint64)
+    diff = bits[lower] ^ bits.T[lower]
+    values, mirrored = m[lower], texts.T[lower]
+    flip = (diff == _SIGN_BIT) & ~np.isnan(values)
+    mirrored[flip] = [t[1:] if t[0] == "-" else "-" + t for t in mirrored[flip]]
+    rest = (diff != 0) & ~flip
+    if rest.any():
+        mirrored[rest] = _number_texts(values[rest].tolist())
+    texts[lower] = mirrored
+    inner = indent + "  "
+    body = f"\n{inner}],\n{inner}[\n{inner}  ".join(
+        map((",\n" + inner + "  ").join, texts.tolist()))
+    return f"[\n{inner}[\n{inner}  {body}\n{inner}]\n{indent}]"
+
+
 def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
     rows = ("%.17g," * len(columns))[:-1] + "\n"
     values = np.column_stack(columns).ravel().tolist()
@@ -112,8 +156,8 @@ def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
 
 
 def _decomposition_json(d) -> dict:
-    return {"pi": d.pi.p.tolist(), "S": as_dense(d.S).tolist(),
-            "A": as_dense(d.A).tolist()}
+    """``pi`` as a list; ``S`` and ``A`` as arrays, for :func:`_square_text`."""
+    return {"pi": d.pi.p.tolist(), "S": as_dense(d.S), "A": as_dense(d.A)}
 
 
 def _emit_trajectory_csv(traj, output: str | None):
@@ -168,7 +212,7 @@ def _cmd_cycles(args, gen):
     from the cycle tuples."""
     cycles = cycle_decompose(decompose(gen).A).cycles
     labels = [str(i) for i in range(gen.n)]
-    weights = _flat_json([w for _, w in cycles])[1:-1].split(", ")
+    weights = _number_texts([w for _, w in cycles])
     items = ",\n".join(
         _CYCLE % (",\n        ".join(map(labels.__getitem__, nodes)), w)
         for (nodes, _), w in zip(cycles, weights))

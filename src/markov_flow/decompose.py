@@ -223,8 +223,11 @@ def dual(gen: GeneratorMatrix) -> GeneratorMatrix:
     The rates ``F^T @ diag(pi)^-1`` of ``(pi, S, -A)``, diagonal recomputed.
     Each column divides by its ``pi_j``, so ``pi`` is GTH's (``stationary_tree``),
     accurate relative to every entry, not only to ``max pi`` as LU's is.
+    Raises :class:`PositivityViolation` when a weight of ``pi`` underflows
+    to zero, which takes rates spanning more than double precision's range.
     """
     pi = stationary_tree(gen).p
+    _check_positive(pi)
     return from_offdiagonal_rates(as_dense(_flow(gen.q, pi)).T / pi)
 
 

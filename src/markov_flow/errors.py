@@ -32,9 +32,10 @@ class SingularBeyondNullity(MarkovFlowError):
 
 class TooLarge(MarkovFlowError):
     """Input exceeds a size cap: a continuum grid with more than
-    ``continuum.MAX_CELLS`` cells, or a sparse operand with more than
+    ``continuum.MAX_CELLS`` cells, a sparse operand with more than
     ``core.DENSE_MAX_STATES`` states passed to a method that needs it
-    dense."""
+    dense, or a trajectory with more than ``evolve.MAX_TRAJECTORY_CELLS``
+    time points x states."""
 
 
 class InvalidFlow(MarkovFlowError):

@@ -291,21 +291,23 @@ def stationary_tree(gen: GeneratorMatrix) -> ProbabilityVector:
     # row convention: a[i, j] is the rate from i to j; the diagonal is never read
     a = as_dense(gen.q).T.copy()
     np.fill_diagonal(a, 0.0)
-    for k in range(n - 1, 0, -1):
-        s = a[k, :k].sum()
-        if not s > 0.0:
-            raise SingularBeyondNullity(
-                f"state reduction invariant violated: state {k} has exit rate "
-                f"{s:.3g} to states 0..{k - 1} after censoring states above it"
-            )
-        a[:k, k] /= s
-        a[:k, :k] += a[:k, k, None] * a[k, :k]
-    x = np.zeros(n)
-    x[0] = 1.0
-    for k in range(1, n):
-        x[k] = x[:k] @ a[:k, k]
-        if x[k] > TREE_RESCALE:
-            x[:k + 1] /= x[k]
+    # a weight that overflows even so is refused below, after the loops
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n - 1, 0, -1):
+            s = a[k, :k].sum()
+            if not s > 0.0:
+                raise SingularBeyondNullity(
+                    f"state reduction invariant violated: state {k} has exit rate "
+                    f"{s:.3g} to states 0..{k - 1} after censoring states above it"
+                )
+            a[:k, k] /= s
+            a[:k, :k] += a[:k, k, None] * a[k, :k]
+        x = np.zeros(n)
+        x[0] = 1.0
+        for k in range(1, n):
+            x[k] = x[:k] @ a[:k, k]
+            if x[k] > TREE_RESCALE:
+                x[:k + 1] /= x[k]
     if not np.isfinite(x).all():
         k = int(np.flatnonzero(~np.isfinite(x))[0])
         raise Overflow(

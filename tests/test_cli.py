@@ -16,7 +16,7 @@ from markov_flow import cli, cycle_decompose, decompose, generator_from_json, ge
 from markov_flow.cli import _csv_text, main
 from markov_flow.errors import NoConvergence
 
-from helpers import count_calls, random_generator
+from helpers import count_calls, random_birth_death, random_generator
 
 
 def write_json(path, obj):
@@ -264,6 +264,18 @@ def test_too_few_points_exits_2(command, points, q3_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "grid invariant violated: need at least one time point" in err
     assert f"points = {points}" in err
+
+
+@pytest.mark.parametrize("command", ["evolve", "bound"])
+def test_too_many_trajectory_cells_exit_2(command, q3_path, tmp_path, capsys):
+    # refused before the grid is allocated: 3e12 cells would not fit in memory
+    p0 = tmp_path / "p0.json"
+    write_json(p0, [1.0, 0.0, 0.0])
+    assert main([command, "--input", str(q3_path), "--p0", str(p0),
+                 "--points", str(10 ** 12)]) == 2
+    err = capsys.readouterr().err
+    assert "size invariant violated: 1000000000000 time points x 3 states" in err
+    assert "trajectory cells, capped at" in err
 
 
 @pytest.mark.parametrize("command", ["evolve", "bound"])
@@ -541,10 +553,66 @@ def test_json_text_matches_stdlib_on_generated_documents(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
+FLOATS = st.one_of(st.floats(), st.sampled_from([float("nan"), -0.0, 5e-324, 1e308]))
+
+
+@st.composite
+def mirrored_matrices(draw):
+    """Square float matrices whose lower entries are planted against their
+    mirrors: equal, negated (NaN included), a +0.0/-0.0 pair or unrelated."""
+    n = draw(st.integers(1, 6))
+    m = np.array(draw(st.lists(FLOATS, min_size=n * n, max_size=n * n))).reshape(n, n)
+    for i in range(n):
+        for j in range(i):
+            kind = draw(st.sampled_from(["equal", "negated", "signed zeros", "unrelated"]))
+            if kind == "equal":
+                m[i, j] = m[j, i]
+            elif kind == "negated":
+                m[i, j] = -m[j, i]
+            elif kind == "signed zeros":
+                m[i, j], m[j, i] = draw(st.permutations([0.0, -0.0]))
+    return m
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(m=mirrored_matrices())
+def test_square_text_matches_stdlib_on_mirrored_matrices(m):
+    obj = {"S": m, "pi": [1.0]}
+    expected = json.dumps({"S": m.tolist(), "pi": [1.0]}, indent=2, sort_keys=True)
+    assert cli._json_text(obj) == expected
+    assert cli._json_text(m) == json.dumps(m.tolist(), indent=2)
+
+
+# one-way rates and -0.0 rates (the column convention keeps their sign): S
+# holds a -0.0 pair (0 <-> 2), A a +0.0/-0.0 pair (1 <-> 3)
+SIGNED_ZEROS = {"n": 4, "convention": "column",
+                "q": [[-1.0, -0.0, -0.0, 2.0], [1.0, -1.0, -0.0, -0.0],
+                      [-0.0, 1.0, -1.0, 0.0], [0.0, 0.0, 1.0, -2.0]]}
+
+
+@pytest.mark.parametrize("generator", [
+    SIGNED_ZEROS,
+    generator_to_json(random_birth_death(np.random.default_rng(7), 9)),
+], ids=["signed-zeros", "birth-death"])
+def test_decompose_writes_the_stdlib_text(generator, tmp_path):
+    path, out = tmp_path / "q.json", tmp_path / "decomposition.json"
+    write_json(path, generator)
+    assert main(["decompose", "--input", str(path), "--output", str(out)]) == 0
+    d = decompose(generator_from_json(generator))
+    S, A = np.asarray(d.S), np.asarray(d.A)
+    expected = json.dumps({"pi": d.pi.p.tolist(), "S": S.tolist(), "A": A.tolist()},
+                          indent=2, sort_keys=True)
+    assert out.read_text() == expected + "\n"
+    if generator is SIGNED_ZEROS:
+        assert str(S[0, 2]) == str(S[2, 0]) == "-0.0"
+        assert (str(A[1, 3]), str(A[3, 1])) == ("-0.0", "0.0")
+
+
 def test_emit_json_matches_stdlib_on_cli_outputs(monkeypatch, tmp_path):
     """The bytes decompose, cycles and continuum write are the stdlib's
     indented text of what they report, with no NaN or Infinity; the
-    continuum reports include one of a problem with ``D = 2^600 I``."""
+    continuum reports include one of a problem with ``D = 2^600 I``.
+    decompose reports ``S`` and ``A`` as arrays, written as their lists."""
     gen_path, problem = tmp_path / "q120.json", tmp_path / "fpe.json"
     scaled = tmp_path / "fpe_scaled.json"
     write_json(gen_path, generator_to_json(random_generator(np.random.default_rng(61), 120)))
@@ -553,7 +621,8 @@ def test_emit_json_matches_stdlib_on_cli_outputs(monkeypatch, tmp_path):
     emit, expected = cli._emit_json, {}
 
     def spy(obj, output):
-        expected[output] = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+        text = json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
+        expected[output] = (text + "\n").encode()
         emit(obj, output)
 
     monkeypatch.setattr(cli, "_emit_json", spy)
@@ -741,6 +810,22 @@ def test_validation_failures_exit_2(tmp_path, capsys):
 
     missing = tmp_path / "missing.json"
     assert main(["stationary", "--input", str(missing)]) == 2
+
+
+@pytest.mark.parametrize("command, q, refusal", [
+    # GTH's pi underflows to [1, 0]: dual would divide by the zero
+    (["dual"], [[-1e-300, 1e300], [1e-300, -1e300]],
+     "positivity invariant violated: pi[1] = 0 <= 0"),
+    (["stationary", "--method", "tree"],
+     [[-1e300, 0, 1e-300], [1e300, -1e-300, 0], [0, 1e-300, -1e-300]],
+     "the spanning-tree weight of state 1 overflows double precision"),
+], ids=["dual", "tree"])
+def test_weights_beyond_double_range_exit_2(command, q, refusal, tmp_path, capsys):
+    # a typed refusal and no numpy warning, which the suite turns into an error
+    path = tmp_path / "q.json"
+    write_json(path, {"n": len(q), "q": q})
+    assert main([*command, "--input", str(path)]) == 2
+    assert refusal in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -24,7 +24,7 @@ from markov_flow import (
     relative_f_kind,
     shannon_entropy,
 )
-from markov_flow.errors import Overflow
+from markov_flow.errors import Overflow, TooLarge
 from markov_flow.instances import shannon_nonmonotone, three_cycle, two_state
 
 from helpers import (
@@ -375,6 +375,24 @@ def test_default_time_grid_rejects_bad_t_max(t_max):
 def test_default_time_grid_rejects_too_few_points(points):
     with pytest.raises(ValueError, match="grid invariant violated: need at least one"):
         default_time_grid(two_state(), points=points, t_max=1.0)
+
+
+def test_default_time_grid_refuses_too_many_cells():
+    # refused before np.geomspace: 2e12 cells would not fit in memory
+    with pytest.raises(TooLarge, match=r"size invariant violated: 1000000000000 time "
+                                       r"points x 2 states = 2000000000000 trajectory cells"):
+        default_time_grid(two_state(), points=10 ** 12, t_max=1.0)
+    cap = evolve_module.MAX_TRAJECTORY_CELLS
+    assert default_time_grid(two_state(), points=cap // 2, t_max=1.0).size == cap // 2
+
+
+def test_evolve_refuses_too_many_cells(monkeypatch):
+    monkeypatch.setattr(evolve_module, "MAX_TRAJECTORY_CELLS", 6)
+    p0 = probability_vector([1.0, 0.0])
+    assert evolve(two_state(), p0, [0.0, 1.0, 2.0]).states.shape == (3, 2)
+    with pytest.raises(TooLarge, match="4 time points x 2 states = 8 trajectory cells, "
+                                       "capped at 6"):
+        evolve(two_state(), p0, [0.0, 1.0, 2.0, 3.0])
 
 
 def test_traces_detailed_balance_chain_kl_monotone():
