@@ -1,14 +1,15 @@
 """Command-line interface: one subcommand per library operation.
 
 File conventions: matrices and configuration travel as JSON (human-
-diffable), time series as CSV with full-precision values (17 significant
-digits).  Commands raise on failure; :func:`main` reads and cross-checks
-their ``--input`` and ``--p0`` files and maps errors to exit codes: 0
-success, 2 validation error naming the violated invariant, 1 internal
-error.  All outputs are byte-identical across runs for identical inputs.
-JSON outputs are the text of ``json.dumps(obj, indent=2, sort_keys=True)``,
-written with few encoder calls; a decomposition's ``S`` and ``A`` format
-one triangle each and mirror the other.
+diffable), time series as CSV whose numbers are exactly ``'%.17g' % x``
+(17 significant digits), written in numpy by :func:`_csv_text`.  Commands
+raise on failure; :func:`main` reads and cross-checks their ``--input``
+and ``--p0`` files and maps errors to exit codes: 0 success, 2 validation
+error naming the violated invariant, 1 internal error.  All outputs are
+byte-identical across runs for identical inputs.  JSON outputs are the
+text of ``json.dumps(obj, indent=2, sort_keys=True)``, written with few
+encoder calls; a decomposition's ``S`` and ``A`` format one triangle each
+and mirror the other.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .continuum import refinement_study
 from .decompose import compose, cycle_decompose, decompose, dual
 from .entropy import _KINDS, RELATIVE_GINI, RELATIVE_SHANNON, SHANNON
 from .errors import MarkovFlowError
-from .evolve import default_time_grid, entropy_trace, evolve
+from .evolve import _check_time_grid, default_time_grid, entropy_trace, evolve
 from .spectral import spectral_bound, verify_bound
 from .stationary import stationary_solve, stationary_tree
 
@@ -149,10 +150,140 @@ def _square_text(m: np.ndarray, indent: str) -> str:
     return f"[\n{inner}[\n{inner}  {body}\n{inner}]\n{indent}]"
 
 
+_CSV_CHUNK = 2 ** 14  # numbers converted at a time; bounds the byte buffers
+# bytes per number: sign, "0." and three zeros, 17 digit/dot slot pairs,
+# "e+XXX", separator
+_SLOT = 46
+
+
+def _dekker_split(a):
+    """``a = hi + lo`` with 26-bit halves, so their products are exact."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _decimal_tables():
+    """Column ``300 + s`` of the first table is ``10^s = hi + lo`` for ``s``
+    in [-300, 300], as rows (hi split in two), hi, lo.  Row ``300 + e`` of
+    the second holds ``%g``'s prefix ("0.", "0.0", ...) and exponent
+    ("e-05", "e+17", ...) bytes for decimal exponent ``e``.  Built from
+    Python ints, whose true division rounds correctly."""
+    hi, lo, affixes = [], [], []
+    for s in range(-300, 301):
+        num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+        h = num / den
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+        prefix = b"0." + b"0" * (-s - 1) if -4 <= s < 0 else b""
+        exponent = b"e%+03d" % s if not -4 <= s < 17 else b""
+        affixes.append(prefix.ljust(5, b"\0") + exponent)
+    hi = np.array(hi)
+    return (np.array([*_dekker_split(hi), hi, lo]),
+            np.array(affixes, "S10").view(np.uint8).reshape(-1, 10))
+
+
+def _scaled(a: np.ndarray, e: np.ndarray):
+    """The integer part and fraction of ``a * 10^(16 - e)``, to about 1e-14:
+    Dekker's exact two-product (Numer. Math. 18, 1971) with the power held
+    as ``hi + lo``."""
+    bh, bl, b, lo = _decimal_tables()[0][:, 316 - e]
+    ah, al = _dekker_split(a)
+    p = a * b
+    head = np.floor(p)
+    f = (p - head) + (((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo)
+    tail = np.floor(f)
+    return head.astype(np.int64) + tail.astype(np.int64), f - tail
+
+
+def _number_bytes(x: np.ndarray, buf: np.ndarray):
+    """Write ``'%.17g' % x[i]`` into row ``i`` of the zeroed byte buffer
+    ``buf`` (``x.size`` by ``_SLOT``), in the template's slots; unused slots
+    stay 0.
+
+    Each ``|x|`` in (1e-280, 1e280) is scaled by ``10^(16 - e)`` for its
+    decimal exponent ``e``, rounded to 17 digits and laid out by the
+    ``%g`` rules: fixed notation for ``-4 <= e < 17``, else ``d.ddde+XX``,
+    trailing zeros stripped.  Zeros are written as "0" and "-0".  The rest
+    go through ``'%.17g' % x``: non-finite values, magnitudes outside that
+    range, and numbers whose scaled value is near an edge: its integer part
+    not 17 digits long, its fraction within 1e-9 of an integer or a half
+    (ties, where 1e-14 cannot decide), or its last 9 digits all zero.
+    """
+    m = x.size
+    a = np.abs(x)
+    vector = (a > 1e-280) & (a < 1e280)
+    a[~vector] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    n, f = _scaled(a, e)
+    zero = x == 0
+    # the integer part has 17 digits unless log10 missed by one next to a
+    # power of ten.  A fixed-notation x whose text has no point is within
+    # half a unit of its 17th digit of an integer, which the spacing of
+    # doubles makes x itself: its fraction is 0, so each text below has one
+    fallback = ~vector | (n < 10 ** 16) | (n >= 10 ** 17) | (
+        np.abs(f - 0.5) < 1e-9) | (f < 1e-9) | (f > 1 - 1e-9)
+    n += f > 0.5
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    e += carry
+    # row i of digits holds digit i of each 9-digit half (the high half's
+    # first is 0); the low half's trailing zeros are blanked
+    low = n % 10 ** 9
+    w = np.concatenate([low, n // 10 ** 9]).astype(np.uint32)
+    digits = np.empty((9, 2 * m), np.uint8)
+    for i in range(8, -1, -1):
+        q = w // 10
+        digits[i] = w - q * 10
+        w = q
+    kept = digits[:, :m] != 0
+    for i in range(7, -1, -1):
+        kept[i] |= kept[i + 1]
+    chars = digits + ord("0")
+    chars[:, :m] *= kept
+    buf[:, 6:22:2] = chars[1:, m:].T
+    buf[:, 22:40:2] = chars[:, :m].T
+    sci = (e < -4) | (e >= 17)
+    point = np.where(sci, 0, e)  # the digit the point follows
+    dot = np.flatnonzero(point >= 0)
+    buf[dot, 7 + 2 * point[dot]] = ord(".")
+    affixes = _decimal_tables()[1][e + 300]
+    buf[:, 0] = np.signbit(x) * ord("-")
+    buf[:, 1:6] = affixes[:, :5]
+    buf[:, 40:45] = affixes[:, 5:]
+    buf[zero, 1:45] = 0
+    buf[zero, 6] = ord("0")
+    fallback = (fallback | (low == 0)) & ~zero  # low == 0: a blanked half
+    idx = np.flatnonzero(fallback)
+    if idx.size:
+        texts = np.array(["%.17g" % v for v in x[idx].tolist()], "S45")
+        buf[idx, :45] = texts.view(np.uint8).reshape(idx.size, 45)
+
+
 def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
-    rows = ("%.17g," * len(columns))[:-1] + "\n"
-    values = np.column_stack(columns).ravel().tolist()
-    return ",".join(header) + "\n" + (rows * len(columns[0])) % tuple(values)
+    """The CSV of ``columns`` under ``header``: each number's text is
+    exactly ``'%.17g' % x``.
+
+    The numbers are written in numpy, without a Python float each
+    (:func:`_number_bytes`): whole rows of about ``_CSV_CHUNK`` numbers at
+    a time go into a byte buffer of fixed slots, whose zero bytes are then
+    dropped.
+    """
+    table = np.column_stack(columns)
+    rows, cols = table.shape
+    step = max(1, _CSV_CHUNK // cols)
+    parts = [",".join(header) + "\n"]
+    for start in range(0, rows, step):
+        block = table[start:start + step]
+        buf = np.zeros((len(block), cols, _SLOT), np.uint8)
+        buf[:, :, -1] = ord(",")
+        buf[:, -1, -1] = ord("\n")
+        _number_bytes(block.ravel(), buf.reshape(-1, _SLOT))
+        buf = buf.ravel()
+        parts.append(np.compress(buf != 0, buf).tobytes().decode("ascii"))
+    return "".join(parts)
 
 
 def _decomposition_json(d) -> dict:
@@ -247,6 +378,7 @@ def _cmd_evolve(args, gen, p0):
         raise ValueError(
             f"unknown trace tokens {unknown}; available: {sorted(TRACE_TOKENS)}"
         )
+    _check_time_grid(args.points, gen.n, args.t_max)
     d = decompose(gen)
     traj = evolve(gen, p0, _time_grid(gen, args, d))
     traj = entropy_trace(traj, d, [TRACE_TOKENS[tok] for tok in tokens])
@@ -254,6 +386,7 @@ def _cmd_evolve(args, gen, p0):
 
 
 def _cmd_bound(args, gen, p0):
+    _check_time_grid(args.points, gen.n, args.t_max)
     d = decompose(gen)
     sb = spectral_bound(d)
     traj = evolve(gen, p0, _time_grid(gen, args, d, sb))

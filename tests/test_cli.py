@@ -1,3 +1,4 @@
+import decimal
 import importlib
 import json
 import os
@@ -254,9 +255,17 @@ def test_every_command_but_demo_writes_to_output(capsys):
                 assert re.search(re.escape(flag) + r"\s+" + text, out), (command, flag)
 
 
+def solve_calls(monkeypatch):
+    """Count the decompositions and spectra the CLI computes."""
+    return [count_calls(monkeypatch, "markov_flow.cli", name)
+            for name in ("decompose", "spectral_bound")]
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 @pytest.mark.parametrize("command", ["evolve", "bound"])
-def test_too_few_points_exits_2(command, points, q3_path, tmp_path, capsys):
+def test_too_few_points_exits_2(command, points, q3_path, tmp_path, monkeypatch, capsys):
+    # the grid arguments are checked before any decomposition or spectrum
+    calls = solve_calls(monkeypatch)
     p0 = tmp_path / "p0.json"
     write_json(p0, [1.0, 0.0, 0.0])
     assert main([command, "--input", str(q3_path), "--p0", str(p0),
@@ -264,11 +273,13 @@ def test_too_few_points_exits_2(command, points, q3_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "grid invariant violated: need at least one time point" in err
     assert f"points = {points}" in err
+    assert [c.call_count for c in calls] == [0, 0]
 
 
 @pytest.mark.parametrize("command", ["evolve", "bound"])
-def test_too_many_trajectory_cells_exit_2(command, q3_path, tmp_path, capsys):
+def test_too_many_trajectory_cells_exit_2(command, q3_path, tmp_path, monkeypatch, capsys):
     # refused before the grid is allocated: 3e12 cells would not fit in memory
+    calls = solve_calls(monkeypatch)
     p0 = tmp_path / "p0.json"
     write_json(p0, [1.0, 0.0, 0.0])
     assert main([command, "--input", str(q3_path), "--p0", str(p0),
@@ -276,6 +287,24 @@ def test_too_many_trajectory_cells_exit_2(command, q3_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "size invariant violated: 1000000000000 time points x 3 states" in err
     assert "trajectory cells, capped at" in err
+    assert [c.call_count for c in calls] == [0, 0]
+
+
+@pytest.mark.parametrize("command", ["evolve", "bound"])
+@pytest.mark.parametrize("t_max, refusal", [
+    ("-1", "t_max must be > 0, got -1.0"), ("0", "t_max must be > 0, got 0.0"),
+    ("inf", "finiteness invariant violated: t_max = inf"),
+    ("nan", "finiteness invariant violated: t_max = nan"),
+], ids=["-1", "0", "inf", "nan"])
+def test_bad_t_max_exits_2_before_any_solve(command, t_max, refusal, q3_path, tmp_path,
+                                            monkeypatch, capsys):
+    calls = solve_calls(monkeypatch)
+    p0 = tmp_path / "p0.json"
+    write_json(p0, [1.0, 0.0, 0.0])
+    assert main([command, "--input", str(q3_path), "--p0", str(p0),
+                 "--t-max", t_max]) == 2
+    assert refusal in capsys.readouterr().err
+    assert [c.call_count for c in calls] == [0, 0]
 
 
 @pytest.mark.parametrize("command", ["evolve", "bound"])
@@ -489,6 +518,75 @@ def test_csv_text_matches_format_spec():
         f"{x:.17g},{y:.17g}\n" for x, y in zip(values, values[::-1])
     )
     assert text == expected
+
+
+def format_spec_csv(header, columns):
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return ",".join(header) + "\n" + "".join(
+        ",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(values=st.lists(st.floats(), min_size=1, max_size=60))
+def test_csv_text_matches_format_spec_on_floats(values):
+    # st.floats() draws NaN, infinities, subnormals and signed zeros too
+    column = np.array(values)
+    assert _csv_text(["x"], [column]) == format_spec_csv(["x"], [column])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=60))
+def test_csv_text_matches_format_spec_on_bit_patterns(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    columns = [values, values[::-1]]
+    assert _csv_text(["a", "b"], columns) == format_spec_csv(["a", "b"], columns)
+
+
+def test_csv_text_matches_format_spec_on_edges():
+    # powers of ten with both neighbours, the fixed/scientific switches
+    # (1e-5, 1e-4, 1e16, 1e17), signed zeros and the ends of the range
+    # the writer scales itself (1e-280, 1e280)
+    powers = np.array([10.0 ** k for k in range(-300, 301)]
+                      + [1e-5, 1e-4, 1e16, 1e17, 1e-280, 1e280])
+    values = np.concatenate([powers, np.nextafter(powers, 0.0),
+                             np.nextafter(powers, np.inf), [0.0, -0.0]])
+    values = np.concatenate([values, -values])
+    assert _csv_text(["x"], [values]) == format_spec_csv(["x"], [values])
+
+
+def test_csv_text_rounds_exact_ties_to_even():
+    # m / 2^k is exact in binary and its decimal expansion ends in 5; with 18
+    # significant digits it is a tie at 17
+    rng = np.random.default_rng(3)
+    ties = []
+    for k in range(2, 26):
+        low, high = 10 ** 17 // 5 ** k + 1, min(10 ** 18 // 5 ** k, 2 ** 53)
+        for m in rng.integers(low, high, 40).tolist():
+            x = (m | 1) / 2 ** k
+            digits = decimal.Decimal(x).as_tuple().digits
+            if len(digits) == 18 and digits[-1] == 5:
+                ties.append(x)
+    values = np.array(ties + [-t for t in ties])
+    assert len(ties) > 500
+    assert _csv_text(["x"], [values]) == format_spec_csv(["x"], [values])
+
+
+def test_csv_text_rows_across_chunks():
+    # 7 columns do not divide the writer's chunk, so the 5003 rows fill
+    # several chunks and the last one only partly
+    rng = np.random.default_rng(5)
+    table = rng.uniform(-1.0, 1.0, (5003, 7)) * 10.0 ** rng.integers(-30, 30, (5003, 7))
+    table[::11, 3] = 0.0
+    columns = list(table.T)
+    header = [f"c{i}" for i in range(7)]
+    assert cli._CSV_CHUNK % 7 and len(table) * 7 > 2 * cli._CSV_CHUNK
+    assert _csv_text(header, columns) == format_spec_csv(header, columns)
+
+
+def test_csv_text_of_one_row():
+    columns = [np.array([x]) for x in (0.1, -2.5e-7, 3e21, np.nan)]
+    assert _csv_text(["a", "b", "c", "d"], columns) == (
+        "a,b,c,d\n0.10000000000000001,-2.4999999999999999e-07,3e+21,nan\n")
 
 
 JSON_EDGE_CASES = [
