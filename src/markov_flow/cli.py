@@ -210,7 +210,7 @@ def _number_bytes(x: np.ndarray, buf: np.ndarray):
     go through ``'%.17g' % x``: non-finite values, magnitudes outside that
     range, and numbers whose scaled value is near an edge: its integer part
     not 17 digits long, its fraction within 1e-9 of an integer or a half
-    (ties, where 1e-14 cannot decide), or its last 9 digits all zero.
+    (ties, where 1e-14 cannot decide).
     """
     m = x.size
     a = np.abs(x)
@@ -220,33 +220,30 @@ def _number_bytes(x: np.ndarray, buf: np.ndarray):
     n, f = _scaled(a, e)
     zero = x == 0
     # the integer part has 17 digits unless log10 missed by one next to a
-    # power of ten.  A fixed-notation x whose text has no point is within
+    # power of ten.  A fixed-notation text without a point needs x within
     # half a unit of its 17th digit of an integer, which the spacing of
-    # doubles makes x itself: its fraction is 0, so each text below has one
+    # doubles makes x itself, of fraction 0: each fixed text below has one
     fallback = ~vector | (n < 10 ** 16) | (n >= 10 ** 17) | (
-        np.abs(f - 0.5) < 1e-9) | (f < 1e-9) | (f > 1 - 1e-9)
+        np.abs(2 * f - np.round(2 * f)) < 2e-9)
     n += f > 0.5
     carry = n == 10 ** 17
     n[carry] = 10 ** 16
     e += carry
-    # row i of digits holds digit i of each 9-digit half (the high half's
-    # first is 0); the low half's trailing zeros are blanked
-    low = n % 10 ** 9
-    w = np.concatenate([low, n // 10 ** 9]).astype(np.uint32)
-    digits = np.empty((9, 2 * m), np.uint8)
+    # the digits of the two 9-digit halves of n, in uint32; the high half's
+    # first is 0.  Trailing zeros are blanked
+    w = np.stack([n // 10 ** 9, n % 10 ** 9]).astype(np.uint32)
+    digits = np.empty((2, 9, m), np.uint8)
     for i in range(8, -1, -1):
         q = w // 10
-        digits[i] = w - q * 10
+        digits[:, i] = w - q * 10
         w = q
-    kept = digits[:, :m] != 0
-    for i in range(7, -1, -1):
+    digits = digits.reshape(18, m)[1:]
+    kept = digits != 0
+    for i in range(15, -1, -1):
         kept[i] |= kept[i + 1]
-    chars = digits + ord("0")
-    chars[:, :m] *= kept
-    buf[:, 6:22:2] = chars[1:, m:].T
-    buf[:, 22:40:2] = chars[:, :m].T
-    sci = (e < -4) | (e >= 17)
-    point = np.where(sci, 0, e)  # the digit the point follows
+    buf[:, 6:40:2] = ((digits + ord("0")) * kept).T
+    # the digit the point follows; none in a one-digit d.ddde+XX
+    point = np.where((e < -4) | (e >= 17), np.where(kept[1], 0, -1), e)
     dot = np.flatnonzero(point >= 0)
     buf[dot, 7 + 2 * point[dot]] = ord(".")
     affixes = _decimal_tables()[1][e + 300]
@@ -255,8 +252,7 @@ def _number_bytes(x: np.ndarray, buf: np.ndarray):
     buf[:, 40:45] = affixes[:, 5:]
     buf[zero, 1:45] = 0
     buf[zero, 6] = ord("0")
-    fallback = (fallback | (low == 0)) & ~zero  # low == 0: a blanked half
-    idx = np.flatnonzero(fallback)
+    idx = np.flatnonzero(fallback & ~zero)
     if idx.size:
         texts = np.array(["%.17g" % v for v in x[idx].tolist()], "S45")
         buf[idx, :45] = texts.view(np.uint8).reshape(idx.size, 45)

@@ -544,9 +544,12 @@ def test_csv_text_matches_format_spec_on_bit_patterns(bits):
 
 def test_csv_text_matches_format_spec_on_edges():
     # powers of ten with both neighbours, the fixed/scientific switches
-    # (1e-5, 1e-4, 1e16, 1e17), signed zeros and the ends of the range
-    # the writer scales itself (1e-280, 1e280)
-    powers = np.array([10.0 ** k for k in range(-300, 301)]
+    # (1e-5, 1e-4, 1e16, 1e17), signed zeros, the ends of the range the
+    # writer scales itself (1e-280, 1e280), and short decimals, whose 17
+    # digits end in zeros that reach into the high 9-digit half
+    short = [float(f"{m}e{k}") for m in (15, 1234, 12345678, 987654321)
+             for k in range(-300, 290, 7)]
+    powers = np.array([10.0 ** k for k in range(-300, 301)] + short
                       + [1e-5, 1e-4, 1e16, 1e17, 1e-280, 1e280])
     values = np.concatenate([powers, np.nextafter(powers, 0.0),
                              np.nextafter(powers, np.inf), [0.0, -0.0]])
